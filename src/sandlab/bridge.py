@@ -6,7 +6,8 @@ reads the sand range around it, and refills the column up to the moved
 top.  Conversely, a 2-d binary CA represents a sand automaton exactly
 when it maps hole-free windows to hole-free cells (invariance) and
 preserves uniform columns (the infinite piles); both checks are finite
-and exhaustive, which is what makes the question decidable.
+and exhaustive, which is what makes the question decidable.  The bridge
+composes ``metric``'s comparator, encoder and decoder with ``ca``'s rules.
 """
 
 from __future__ import annotations
@@ -15,10 +16,17 @@ from dataclasses import dataclass
 from itertools import product
 
 from .budget import require_budget
-from .ca import CaRule, extend_columns, flat_from_masks
-from .heights import MINUS_INF, PLUS_INF, is_finite
-from .lattice import Configuration
-from .metric import StaircasePattern, column_is_monotone, zeta_window
+from .ca import CaRule, extend_columns
+from .heights import is_finite
+from .lattice import Configuration, line_config
+from .metric import (
+    UNDETERMINED,
+    StaircasePattern,
+    beta,
+    column_is_monotone,
+    zeta_decode_column,
+    zeta_window,
+)
 from .sa import (
     FuncRule,
     Range,
@@ -49,17 +57,7 @@ def build_ca_from_sa(f: SaRule) -> CaRule:
         t = sum(central)  # 1-based row of the central column's top (0 if empty)
         if not r + 1 <= t <= 3 * r:
             return central[center]
-        entries = []
-        for o in range(-r, r + 1):
-            if o == 0:
-                continue
-            tc = sum(cols[center + o])
-            if tc >= t + r + 1:
-                entries.append(PLUS_INF)
-            elif tc <= t - r - 1:
-                entries.append(MINUS_INF)
-            else:
-                entries.append(tc - t)
+        entries = [beta(r, t, sum(cols[center + o])) for o in range(-r, r + 1) if o]
         delta = apply_local(f, Range(1, r, tuple(entries)))
         j_rel = t - (2 * r + 1)
         return 1 if j_rel + delta >= 0 else 0
@@ -143,29 +141,14 @@ class DecisionReport:
     extracted: SaRule | None = None
 
 
-def _apply_masks(g: CaRule, masks: tuple[int, ...]) -> int:
-    memo = g._memo
-    val = memo.get(masks)
-    if val is None:
-        flat = flat_from_masks(masks, g.radius)
-        if g.table is not None:
-            from .ca import neighborhood_index
-
-            val = g.table[neighborhood_index(2, flat)]
-        else:
-            val = g._fn(flat)
-        memo[masks] = val
-    return val
-
-
 def invariance_violation(g: CaRule, st: StaircasePattern) -> bool:
     """Replay one invariance window: does its image contain the hole?"""
     rho = g.radius
     span = 2 * rho + 1
     mask = (1 << span) - 1
     cols = _column_masks(st)
-    below = _apply_masks(g, tuple(c & mask for c in cols))
-    above = _apply_masks(g, tuple((c >> 1) & mask for c in cols))
+    below = g.apply_masks(tuple(c & mask for c in cols))
+    above = g.apply_masks(tuple((c >> 1) & mask for c in cols))
     return below == 0 and above == 1
 
 
@@ -191,7 +174,7 @@ def column_preservation_violation(g: CaRule, st: StaircasePattern) -> bool:
     span = 2 * rho + 1
     cols = _column_masks(st)
     full = (1 << span) - 1
-    out = _apply_masks(g, tuple(cols))
+    out = g.apply_masks(tuple(cols))
     if cols[rho] == full:
         return out != 1
     if cols[rho] == 0:
@@ -221,26 +204,16 @@ def extract_sa_rule(g: CaRule) -> SaRule:
     """
     rho = g.radius
     r_ext = 2 * rho
+    span = 2 * rho + 1
 
     def fn(rng: Range) -> int:
-        arr = realize_range(rng)  # heights over [-r_ext, r_ext], center 0
-        vlo, vhi = -(2 * rho + 1), 2 * rho + 1
-        height = vhi - vlo + 1
-        cols = []
-        for o in range(-rho, rho + 1):
-            hgt = arr[o + r_ext]
-            top = max(0, min(height, hgt - vlo + 1))
-            cols.append((1 << top) - 1)
-        out, out_h = extend_columns(g, cols, height)
-        bits = out[0]
-        ones = bin(bits).count("1")
-        new_vlo = vlo + rho
-        if not column_is_monotone((bits >> v) & 1 for v in range(out_h)):
-            raise ValueError("CA image column has a hole; not a sand automaton")
-        if ones == 0 or ones == out_h:
+        x = line_config(realize_range(rng), -r_ext)  # center pile at 0, height 0
+        cols = _encode_grid(x, (-rho, rho), (-span, span))
+        out, out_h = extend_columns(g, cols, 2 * span + 1)
+        column = ((out[0] >> v) & 1 for v in range(out_h))
+        delta = zeta_decode_column(column, -rho - 1, rho + 1)
+        if delta is UNDETERMINED:
             raise ValueError("CA moved the pile top out of view; not a sand automaton")
-        new_top = new_vlo + ones - 1
-        delta = new_top
         if not -r_ext <= delta <= r_ext:
             raise ValueError("extracted variation outside [-r, r]")
         return delta

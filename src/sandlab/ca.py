@@ -1,13 +1,14 @@
 """Finite-alphabet cellular automata on windows and finite line configs.
 
-Rules are function-backed with memoization by default; a dense table is
-only materialized when it fits the budget.  Neighborhoods travel as flat
-tuples in pattern order (offsets lexicographic, last axis fastest; for the
-2-d binary rules the last axis is vertical, bottom-to-top).
+Rules are function-backed (a table rule's function reads its table); a
+dense table is only materialized when it fits the budget.  Neighborhoods
+travel as flat tuples in pattern order (offsets lexicographic, last axis
+fastest; for the 2-d binary rules the last axis is vertical, bottom-to-top).
 
-``extend_columns`` is the throughput path used by the bridge checks: 2-d
-binary windows represented as per-column bitmask ints, memoized on the
-masked key.
+``CaRule`` owns the one memo, keyed by flat neighborhoods or, for 2-d
+binary rules, by tuples of per-column bitmasks (``extend_columns``, the
+throughput path of the bridge checks).  Every output is checked to be a
+state; any other value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -26,15 +27,24 @@ class CaRule:
         self.table = tuple(table) if table is not None else None
         self._memo: dict = {}
 
+    def _evaluate(self, key: tuple, flat: tuple) -> int:
+        v = self._fn(flat)
+        if not 0 <= v < self.states:
+            raise ValueError(f"rule {self.name} returned a non-state: {v}")
+        self._memo[key] = v
+        return v
+
     def apply_flat(self, flat: tuple) -> int:
-        if self.table is not None:
-            return self.table[neighborhood_index(self.states, flat)]
         v = self._memo.get(flat)
         if v is None:
-            v = self._fn(flat)
-            if not 0 <= v < self.states:
-                raise ValueError(f"rule {self.name} returned a non-state: {v}")
-            self._memo[flat] = v
+            v = self._evaluate(flat, flat)
+        return v
+
+    def apply_masks(self, masks: tuple[int, ...]) -> int:
+        """A 2-d binary rule on a neighborhood given as column bitmasks."""
+        v = self._memo.get(masks)
+        if v is None:
+            v = self._evaluate(masks, flat_from_masks(masks, self.radius))
         return v
 
     def __repr__(self):
@@ -49,13 +59,18 @@ def neighborhood_index(states: int, flat: tuple) -> int:
 
 
 def table_rule(dim: int, radius: int, states: int, table, name: str = "CA-TABLE") -> CaRule:
-    n = states ** ((2 * radius + 1) ** dim)
+    cells = (2 * radius + 1) ** dim
     table = tuple(table)
-    if len(table) != n:
-        raise ValueError(f"dense table needs {n} entries")
+    # states**cells outgrows len(table) once cells passes its bit length
+    if (states > 1 and cells > len(table).bit_length()) or len(table) != states**cells:
+        raise ValueError(f"dense table needs {states}**{cells} entries, got {len(table)}")
     if any(not 0 <= v < states for v in table):
         raise ValueError("table outputs must be states")
-    return CaRule(dim, radius, states, None, name=name, table=table)
+
+    def read(flat: tuple) -> int:
+        return table[neighborhood_index(states, flat)]
+
+    return CaRule(dim, radius, states, read, name=name, table=table)
 
 
 def materialize_table(g: CaRule) -> CaRule:
@@ -112,22 +127,16 @@ def extend_columns(g: CaRule, cols: list[int], height: int) -> tuple[list[int], 
     if out_h < 1 or len(cols) < span:
         raise ValueError("window too small")
     memo = g._memo
-    fn = g._fn
-    table = g.table
+    # every column's (2rho+1)-bit slices, cut once and shared by the span
+    # of output columns that read it; zip then builds each key in one step
+    slices = [[(col >> v) & mask for v in range(out_h)] for col in cols]
     out = []
     for c in range(rho, len(cols) - rho):
-        sub = cols[c - rho : c + rho + 1]
         bits = 0
-        for v in range(out_h):
-            key = tuple((col >> v) & mask for col in sub)
+        for v, key in enumerate(zip(*slices[c - rho : c + rho + 1])):
             val = memo.get(key)
             if val is None:
-                flat = flat_from_masks(key, rho)
-                if table is not None:
-                    val = table[neighborhood_index(2, flat)]
-                else:
-                    val = fn(flat)
-                memo[key] = val
+                val = g.apply_masks(key)
             if val:
                 bits |= 1 << v
         out.append(bits)

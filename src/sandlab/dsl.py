@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass
 from itertools import product
 
-from .heights import MINUS_INF, PLUS_INF, Height
+from .heights import Height, format_height, parse_height
 from .sa import FuncRule, Range, SaRule, range_offsets
 
 
@@ -124,12 +124,6 @@ def _tokenize(text: str, line_no: int, col0: int):
     return tokens
 
 
-def _parse_value(text: str) -> Height:
-    if text.endswith("inf"):
-        return MINUS_INF if text.startswith("-") else PLUS_INF
-    return int(text)
-
-
 class _CondParser:
     def __init__(self, tokens, line_no):
         self.tokens = tokens
@@ -196,7 +190,7 @@ class _CondParser:
         if val_tok is None or val_tok[0] != "value":
             self._error("expected an integer or +inf/-inf")
         self.i += 1
-        return Atom(offset, cmp_tok[1], _parse_value(val_tok[1]))
+        return Atom(offset, cmp_tok[1], parse_height(val_tok[1]))
 
 
 # --- program parsing --------------------------------------------------------
@@ -286,18 +280,10 @@ def _parse_output(text: str, radius: int, line_no: int) -> int:
 # --- serialization ----------------------------------------------------------
 
 
-def _fmt_value(v: Height) -> str:
-    if v == PLUS_INF:
-        return "+inf"
-    if v == MINUS_INF:
-        return "-inf"
-    return str(v)
-
-
 def _fmt_cond(node, parent: str = "or") -> str:
     if isinstance(node, Atom):
         off = ",".join(str(o) for o in node.offset)
-        return f"R[{off}] {node.op} {_fmt_value(node.value)}"
+        return f"R[{off}] {node.op} {format_height(node.value)}"
     if isinstance(node, Not):
         inner = _fmt_cond(node.inner, "not")
         if isinstance(node.inner, (And, Or)):

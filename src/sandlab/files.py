@@ -14,7 +14,7 @@ import json
 from .bridge import build_ca_from_sa
 from .ca import CaRule, table_rule
 from .dsl import RuleProgram, parse_rule, serialize_rule
-from .heights import format_height, parse_height
+from .heights import format_height, is_finite, parse_height
 from .lattice import Configuration, Kind, line_config, periodic_config
 from .sa import OrbitRecord
 
@@ -142,25 +142,28 @@ def parse_ca(text: str) -> CaRule:
     if not entries or entries[0][1] != "carule v1":
         ln = entries[0][0] if entries else 1
         raise FormatError("expected 'carule v1' header", ln)
-    ln, dim_text = _take(entries, 1, "dim", entries[0][0])
-    ln, radius_text = _take(entries, 2, "radius", ln)
-    ln, states_text = _take(entries, 3, "states", ln)
-    try:
-        dim, radius, states = int(dim_text), int(radius_text), int(states_text)
-    except ValueError:
-        raise FormatError("dim/radius/states must be integers", ln) from None
+    ln = entries[0][0]
+    header = []
+    for idx, key, low, high in ((1, "dim", 1, 2), (2, "radius", 0, None), (3, "states", 1, None)):
+        ln, value_text = _take(entries, idx, key, ln)
+        try:
+            value = int(value_text)
+        except ValueError:
+            raise FormatError(f"{key} must be an integer", ln) from None
+        if value < low or (high is not None and value > high):
+            bounds = f"in [{low}, {high}]" if high is not None else f">= {low}"
+            raise FormatError(f"{key} must be {bounds}, got {value}", ln)
+        header.append(value)
+    dim, radius, states = header
     if len(entries) <= 4:
         raise FormatError("missing 'table' or 'bridge' section", ln)
     bln, body = entries[4]
     if body == "bridge":
         # everything after the 'bridge' line is a sand rule program
         idx = text.index("bridge")
-        sub = text[idx + len("bridge") :]
-        prog = parse_rule(sub)
-        g = build_ca_from_sa(prog.to_rule())
+        g = bridge_ca_from_program(parse_rule(text[idx + len("bridge") :]))
         if (g.dim, g.radius, g.states) != (dim, radius, states):
             raise FormatError("bridge header does not match the embedded rule", bln)
-        g._program = prog
         return g
     parts = body.split(None, 1)
     if parts[0] != "table" or len(parts) < 2:
@@ -224,29 +227,55 @@ def trajectory_record(rec: OrbitRecord) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
+_PERIODIC_FIELDS = {"step", "origin", "period", "cells"}
+_LINE_FIELDS = {"step", "origin", "left", "right", "core"}
+
+
 def parse_trajectory_record(line: str) -> OrbitRecord:
+    """Read one record; only the form ``trajectory_record`` writes is accepted."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as e:
         raise FormatError(f"bad trajectory record: {e}") from None
+    if not isinstance(obj, dict) or set(obj) not in (_PERIODIC_FIELDS, _LINE_FIELDS):
+        raise FormatError("bad trajectory record: unexpected fields")
     try:
-        step = obj["step"]
+        step, origin = _json_int(obj["step"]), _json_int(obj["origin"])
         if "cells" in obj:
-            x = periodic_config([_from_json(v) for v in obj["cells"]])
+            cells = [_from_json(v) for v in obj["cells"]]
+            if origin != 0 or _json_int(obj["period"]) != len(cells):
+                raise ValueError("periodic records have origin 0 and one cell per period")
+            x = periodic_config(cells)
         else:
-            x = line_config(
-                [_from_json(v) for v in obj["core"]],
-                obj["origin"],
-                parse_height(obj["left"]),
-                parse_height(obj["right"]),
-            )
-    except (KeyError, TypeError, ValueError) as e:
+            left, right = _height_text(obj["left"]), _height_text(obj["right"])
+            x = line_config([_from_json(v) for v in obj["core"]], origin, left, right)
+    except (TypeError, ValueError, OverflowError) as e:
         raise FormatError(f"bad trajectory record: {e}") from None
     return OrbitRecord(step, x)
 
 
+def _json_int(v) -> int:
+    if type(v) is not int:
+        raise TypeError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _height_text(text):
+    """A height in exactly the text ``format_height`` writes."""
+    h = parse_height(text)
+    if format_height(h) != text:
+        raise ValueError(f"not a height: {text!r}")
+    return h
+
+
 def _from_json(v):
-    return v if isinstance(v, int) else parse_height(v)
+    """A cell as ``_json_height`` writes it: an integer, or an infinity as text."""
+    if type(v) is int:
+        return v
+    h = _height_text(v)
+    if is_finite(h):
+        raise ValueError(f"finite heights are JSON integers, got {v!r}")
+    return h
 
 
 def read_trajectory(text: str) -> list[OrbitRecord]:

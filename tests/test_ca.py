@@ -55,6 +55,16 @@ def test_function_rule_output_validated():
         g.apply_flat((0, 0, 0))
 
 
+@pytest.mark.parametrize("value", [2, -1])
+def test_non_state_output_rejected_on_every_path(value):
+    from sandlab.bridge import decide_sa
+
+    with pytest.raises(ValueError, match="non-state"):
+        extend_columns(CaRule(2, 1, 2, lambda flat: value), [0b111] * 3, 3)
+    with pytest.raises(ValueError, match="non-state"):
+        decide_sa(CaRule(2, 1, 2, lambda flat: value))
+
+
 def test_ca_extend_shrinks_window():
     g = make_min_rule()
     p = pattern1([1, 1, 0, 1, 1])

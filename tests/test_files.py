@@ -91,6 +91,22 @@ def test_ca_bad_header():
         parse_ca("carule v1\ndim 1\nradius 1\nstates 2\ntable 012\n")
 
 
+@pytest.mark.parametrize(
+    "dim, radius, states, line, message",
+    [
+        (0, 1, 2, 2, "dim must be in [1, 2], got 0"),
+        (3, 1, 2, 2, "dim must be in [1, 2], got 3"),
+        (1, -1, 2, 3, "radius must be >= 0, got -1"),
+        (1, 1, 0, 4, "states must be >= 1, got 0"),
+        (2, 300, 2, 5, "dense table needs 2**361201 entries, got 2"),
+    ],
+)
+def test_ca_header_ranges(dim, radius, states, line, message):
+    with pytest.raises(FormatError) as ei:
+        parse_ca(f"carule v1\ndim {dim}\nradius {radius}\nstates {states}\ntable 01\n")
+    assert (ei.value.line, ei.value.reason) == (line, message)
+
+
 def test_trajectory_record_round_trip():
     rec = OrbitRecord(3, line_config([2, PLUS_INF], -1, 0, 0))
     line = trajectory_record(rec)
@@ -109,3 +125,19 @@ def test_trajectory_steps_must_increase():
     rec = trajectory_record(OrbitRecord(1, constant(0)))
     with pytest.raises(FormatError):
         read_trajectory(rec + "\n" + rec)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        '{"step":0,"origin":0,"left":"0","right":"0","core":[1.5]}',
+        '{"step":0,"origin":0.5,"left":"0","right":"0","core":[1]}',
+        '{"step":"1","origin":0,"left":"0","right":"0","core":[1]}',
+    ],
+)
+def test_trajectory_reader_is_strict(line):
+    good = trajectory_record(OrbitRecord(0, line_config([1], 0, 0, 0)))
+    with pytest.raises(FormatError):
+        parse_trajectory_record(line)
+    with pytest.raises(FormatError):
+        read_trajectory(good + "\n" + line)
