@@ -5,13 +5,25 @@ top of a pile (its range) to a variation in [-r, r].  The global step acts
 exactly on the finite configuration descriptions: infinite piles are fixed,
 backgrounds move by the flat-range variation, and the core is recomputed
 over the light cone before re-canonicalizing.
+
+All three shapes (eventually constant in dimension 1 or 2, periodic) share
+one windowed kernel.  ``step`` pads the description once into a flat
+row-major buffer: 2r background piles on every side, or the period wrapped
+r piles each way.  The kernel turns the range offsets into buffer deltas
+once per call, saturates each pile's entries inline and looks the entries
+tuple up in the rule's memo, building a ``Range`` only on a miss.  The work
+of one step (piles times range size) is charged to ``SANDLAB_BUDGET``.
+``oracle_step_window`` and ``range_at`` stay naive per-pile references, and
+the kernel is tested against both.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 
+from .budget import require_budget
 from .heights import Height, MINUS_INF, PLUS_INF, add, is_finite
 from .lattice import (
     Configuration,
@@ -34,6 +46,12 @@ def range_offsets(dim: int, r: int) -> list[tuple[int, ...]]:
     return [o for o in product(range(-r, r + 1), repeat=dim) if any(v != 0 for v in o)]
 
 
+@lru_cache(maxsize=None)
+def _offset_positions(dim: int, r: int) -> dict:
+    """Offset -> position of its entry in a radius-r range."""
+    return {o: k for k, o in enumerate(range_offsets(dim, r))}
+
+
 @dataclass(frozen=True)
 class Range:
     dim: int
@@ -47,8 +65,10 @@ class Range:
     def entry(self, offset) -> Height:
         if isinstance(offset, int):
             offset = (offset,)
-        offs = range_offsets(self.dim, self.radius)
-        return self.entries[offs.index(tuple(offset))]
+        pos = _offset_positions(self.dim, self.radius).get(tuple(offset))
+        if pos is None:
+            raise ValueError(f"offset {tuple(offset)} is not in a radius-{self.radius} range")
+        return self.entries[pos]
 
 
 def flat_range(dim: int, r: int) -> Range:
@@ -61,6 +81,7 @@ class SaRule:
     dim: int
     radius: int
     name: str
+    _memo: dict | None = None  # entries tuple -> variation, read by step
 
     def apply(self, rng: Range) -> int:
         raise NotImplementedError
@@ -156,6 +177,11 @@ def raise_rule(radius: int = 1, dim: int = 1) -> SaRule:
 
 
 def range_at(x: Configuration, i, r: int) -> Range:
+    """The range of the pile at i, read neighbor by neighbor.
+
+    This is the naive per-pile reference the stepping kernel is tested
+    against; ``step`` itself never calls it.
+    """
     if x.dim == 1 and isinstance(i, int):
         i = (i,)
     center = height_at(x, i if x.dim > 1 else i[0])
@@ -181,41 +207,69 @@ def _bg_delta(f: SaRule, bg: Height) -> int:
     return apply_local(f, flat_range(f.dim, f.radius))
 
 
+def _update(f: SaRule, buf: list, strides: tuple, positions) -> list:
+    """The stepping kernel: new heights at ``positions`` of a padded buffer.
+
+    ``buf`` holds the piles in row-major order with ``strides`` per axis and
+    at least r piles of padding around every position.  Entries are
+    saturated inline with the comparisons of ``metric.beta`` and looked up
+    in the rule's memo by the entries tuple; a ``Range`` is built only on a
+    miss or for rules without a memo.
+    """
+    r = f.radius
+    deltas = [sum(o * s for o, s in zip(off, strides)) for off in range_offsets(f.dim, r)]
+    require_budget(len(positions) * len(deltas), "step")
+    memo = f._memo
+    out = []
+    for p in positions:
+        c = buf[p]
+        if isinstance(c, float):  # infinite piles are fixed
+            out.append(c)
+            continue
+        entries = tuple(
+            [d if -r <= d <= r else PLUS_INF if d > r else MINUS_INF for d in [buf[p + k] - c for k in deltas]]
+        )
+        v = None if memo is None else memo.get(entries)
+        if v is None:
+            v = f.apply(Range(f.dim, r, entries))
+        if not -r <= v <= r:
+            raise ValueError(f"rule {f.name} returned {v} outside [-r, r]")
+        out.append(add(c, v))
+    return out
+
+
 def step(f: SaRule, x: Configuration) -> Configuration:
     """One synchronous update of the whole configuration."""
     if f.dim != x.dim:
         raise ValueError("dimension mismatch")
     r = f.radius
+    pad = 2 * r  # the light cone's r plus the range's r
     if x.kind is Kind.PERIODIC:
-        cells = []
-        for j in range(x.period):
-            v = x.cells[j]
-            cells.append(v if not is_finite(v) else add(v, apply_local(f, range_at(x, j, r))))
-        return periodic_config(cells)
+        p = x.period
+        buf = [x.cells[(k - r) % p] for k in range(p + pad)]
+        return periodic_config(_update(f, buf, (1,), range(r, r + p)))
     if x.dim == 1:
         new_left = add(x.left, _bg_delta(f, x.left))
         new_right = add(x.right, _bg_delta(f, x.right))
         if x.is_constant():
             return line_config((), 0, new_left, new_right)
-        lo = x.origin - r
-        hi = x.origin + len(x.core) - 1 + r
-        core = []
-        for i in range(lo, hi + 1):
-            v = height_at(x, i)
-            core.append(v if not is_finite(v) else add(v, apply_local(f, range_at(x, i, r))))
-        return line_config(core, lo, new_left, new_right)
-    new_bg = add(x.left, _bg_delta(f, x.left))
+        buf = [x.left] * pad + list(x.core) + [x.right] * pad
+        core = _update(f, buf, (1,), range(r, len(buf) - r))
+        return line_config(core, x.origin - r, new_left, new_right)
+    bg = x.left
+    new_bg = add(bg, _bg_delta(f, bg))
     if x.is_constant():
         return constant(new_bg, dim=2)
+    n1, n2 = len(x.core) + 2 * r, len(x.core[0]) + 2 * r  # the output box
+    width = n2 + 2 * r
+    buf = [bg] * (pad * width)
+    for row in x.core:
+        buf += [bg] * pad + list(row) + [bg] * pad
+    buf += [bg] * (pad * width)
+    positions = [a * width + b for a in range(r, r + n1) for b in range(r, r + n2)]
+    out = _update(f, buf, (width, 1), positions)
+    rows = [out[k : k + n2] for k in range(0, len(out), n2)]
     (o1, o2) = x.origin
-    n1, n2 = len(x.core), len(x.core[0])
-    rows = []
-    for a in range(o1 - r, o1 + n1 + r):
-        row = []
-        for b in range(o2 - r, o2 + n2 + r):
-            v = height_at(x, (a, b))
-            row.append(v if not is_finite(v) else add(v, apply_local(f, range_at(x, (a, b), r))))
-        rows.append(row)
     return grid_config(rows, (o1 - r, o2 - r), new_bg)
 
 

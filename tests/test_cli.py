@@ -158,3 +158,22 @@ def test_usage_errors_exit_2(capsys, tmp_path):
 def test_missing_file_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "period-search", "--rule", str(tmp_path / "nope"), "--max-sum", "1")
     assert code == 2
+
+
+def test_simulate_over_step_budget_exits_1(tmp_path, data_dir, capsys, monkeypatch):
+    # sandcfg files are 1-d, so the step is widened by the radius:
+    # one pile at radius 16 updates 33 piles of 32 entries each
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    rule = tmp_path / "wide.rule"
+    rule.write_text("sarule v1\ndim 1\nradius 16\ndefault => 0\n")
+    code, _, err = run(
+        capsys,
+        "simulate",
+        "--rule", str(rule),
+        "--config", str(data_dir / "pile2.cfg"),
+        "--steps", "1",
+        "--out", str(tmp_path / "traj.jsonl"),
+    )
+    assert code == 1
+    assert err.startswith("error: step: 1056 enumerations exceed budget 1000")
+    assert "Traceback" not in err

@@ -159,3 +159,166 @@ def test_rule_output_out_of_range_is_caught():
     bad = FuncRule(1, 1, lambda rng: 5, "BAD")
     with pytest.raises(ValueError):
         apply_local(bad, flat_range(1, 1))
+
+
+# --- the stepping kernel against a naive per-pile reference -----------------
+
+
+def naive_step(f, x):
+    """Every pile recomputed on its own through ``range_at``."""
+    from sandlab.heights import add, is_finite
+    from sandlab.lattice import Kind, grid_config
+    from sandlab.sa import apply_local
+
+    r = f.radius
+
+    def new(i):
+        v = height_at(x, i)
+        return v if not is_finite(v) else add(v, apply_local(f, range_at(x, i, r)))
+
+    if x.kind is Kind.PERIODIC:
+        return periodic_config([new(i) for i in range(x.period)])
+    m = 2 * r + 1  # reach past the light cone, so the ends read backgrounds only
+    if x.dim == 1:
+        lo = x.origin - m
+        hi = x.origin + len(x.core) - 1 + m
+        return line_config([new(i) for i in range(lo, hi + 1)], lo, new(lo - 1), new(hi + 1))
+    (o1, o2) = x.origin
+    n1 = len(x.core)
+    n2 = len(x.core[0]) if x.core else 0
+    rows = [[new((a, b)) for b in range(o2 - m, o2 + n2 + m)] for a in range(o1 - m, o1 + n1 + m)]
+    return grid_config(rows, (o1 - m, o2 - m), new((o1 - m - 1, o2 - m - 1)))
+
+
+def _height(rand, p_inf=0.1):
+    u = rand.random()
+    if u < p_inf / 2:
+        return PLUS_INF
+    if u < p_inf:
+        return MINUS_INF
+    return rand.randint(-4, 4)
+
+
+def _line_cases(rand, r):
+    for _ in range(40):
+        core = [_height(rand) for _ in range(rand.randint(0, 8))]
+        left = _height(rand, 0.3)
+        right = left if rand.random() < 0.3 else _height(rand, 0.3)
+        yield line_config(core, rand.randint(-3, 3), left, right)
+
+
+def _periodic_cases(rand, r):
+    for p in range(2, 2 * r + 5):  # periods below, at and above the window 2r+1
+        for _ in range(4):
+            yield periodic_config([_height(rand) for _ in range(p)])
+
+
+def _grid_cases(rand, r):
+    from sandlab.lattice import grid_config
+
+    for _ in range(15):
+        w = rand.randint(1, 4)
+        rows = [[_height(rand) for _ in range(w)] for _ in range(rand.randint(1, 4))]
+        yield grid_config(rows, (rand.randint(-2, 2), rand.randint(-2, 2)), _height(rand, 0.3))
+
+
+def _guarded_rule(dim, r):
+    from sandlab.dsl import parse_rule
+
+    if dim == 1:
+        cases = [f"case R[{r}] >= 1 && R[-1] != -inf => 1", f"case R[-{r}] < 0 || R[1] == +inf => -1"]
+    else:
+        cases = [f"case R[{r},0] >= 1 && R[0,-1] != -inf => 1", f"case R[-1,{r}] < 0 || R[1,1] == +inf => -1"]
+    text = "\n".join(["sarule v1", f"dim {dim}", f"radius {r}", *cases, "default => 0", ""])
+    return parse_rule(text).to_rule()
+
+
+def _kernel_rules(dim, r):
+    from sandlab.sampling import random_table_rule
+
+    rand = random.Random(10 * dim + r)
+    rules = [_guarded_rule(dim, r), make_collapse(r, dim)]
+    if (2 * r + 1) ** dim - 1 <= 4:  # dense tables stay small
+        rules.append(random_table_rule(rand, r, dim))
+    return rules
+
+
+@pytest.mark.parametrize("shape", ["line", "periodic", "grid"])
+@pytest.mark.parametrize("r", [1, 2])
+def test_step_matches_naive_reference(shape, r):
+    dim = 2 if shape == "grid" else 1
+    cases = {"line": _line_cases, "periodic": _periodic_cases, "grid": _grid_cases}[shape]
+    rand = random.Random(f"{shape}:{r}")
+    configs = list(cases(rand, r))
+    for f in _kernel_rules(dim, r):
+        for x in configs:
+            assert step(f, x) == naive_step(f, x), (f.name, x)
+
+
+def test_step_matches_naive_reference_on_a_2d_table_rule():
+    from sandlab.lattice import grid_config
+    from sandlab.sampling import random_table_rule
+
+    rand = random.Random(7)
+    f = random_table_rule(rand, 1, 2)
+    for x in list(_grid_cases(rand, 1)) + [grid_config([[PLUS_INF, 1], [0, MINUS_INF]], (0, 0), PLUS_INF)]:
+        assert step(f, x) == naive_step(f, x)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_bound_is_checked_on_memo_hits(dim):
+    from sandlab.lattice import grid_config
+    from sandlab.sa import FuncRule
+
+    if dim == 1:
+        # infinite backgrounds: every evaluation happens inside the kernel
+        configs = [periodic_config([0, 0, 0, 5, 5, 5]), line_config([0] * 6, 0, MINUS_INF, MINUS_INF)]
+    else:
+        configs = [grid_config([[0] * 4] * 4, (0, 0), MINUS_INF)]
+    for x in configs:
+        bad = FuncRule(dim, 1, lambda rng: 5, "BAD", memoize=True)
+        with pytest.raises(ValueError):
+            step(bad, x)
+        assert 5 in bad._memo.values()
+        with pytest.raises(ValueError):
+            step(bad, x)
+
+
+def test_step_is_budgeted(monkeypatch):
+    from sandlab.budget import BudgetExceeded
+    from sandlab.dsl import parse_rule
+    from sandlab.lattice import constant, grid_config
+
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    f = parse_rule("sarule v1\ndim 2\nradius 3\ndefault => 0\n").to_rule()
+    with pytest.raises(BudgetExceeded):
+        step(f, grid_config([[1]], (0, 0), 0))  # 49 piles x 48 entries
+    # radius 1: 9 piles x 8 entries fit
+    assert step(make_collapse(1, 2), grid_config([[1]], (0, 0), 0)) == constant(0, dim=2)
+
+
+def test_range_entry_lookup():
+    from sandlab.sa import Range
+
+    rng = Range(2, 1, tuple(range(8)))
+    assert rng.entry((-1, -1)) == 0 and rng.entry((1, 1)) == 7 and rng.entry([0, 1]) == 4
+    with pytest.raises(ValueError):
+        rng.entry((0, 0))
+    with pytest.raises(ValueError):
+        rng.entry((2, 0))
+    assert Range(1, 2, (1, 2, 3, 4)).entry(-1) == 2
+
+
+def test_step_evaluates_the_rule_at_finite_piles_only():
+    from sandlab.lattice import grid_config
+    from sandlab.sa import FuncRule
+
+    for x, finite in [
+        (line_config([PLUS_INF, 0, 3, MINUS_INF], 0, PLUS_INF, MINUS_INF), 2),
+        (periodic_config([0, PLUS_INF, MINUS_INF]), 1),
+        (grid_config([[0, PLUS_INF], [MINUS_INF, 1]], (0, 0), MINUS_INF), 2),
+    ]:
+        seen = []
+        f = FuncRule(x.dim, 1, lambda rng: seen.append(rng) or 0, "COUNT")
+        step(f, x)
+        assert len(seen) == finite
