@@ -156,16 +156,29 @@ def check_invariance(g: CaRule):
     """Exhaustively verify hole-freeness is preserved; None or first witness.
 
     Scans every hole-free window of width 2rho+1 and height 2rho+2, whose
-    image is a single vertical pair; that pair must not be 0-below-1.
+    image is a single vertical pair; that pair must not be 0-below-1.  The
+    windows' mask tuples are enumerated in lexicographic order of the
+    column tops, so the witness is the first violation in that order.
     """
     rho = g.radius
     span = 2 * rho + 1
     h = span + 1
     require_budget((h + 1) ** span, "invariance check")
-    for tops in product(range(h + 1), repeat=span):
-        st = StaircasePattern(span, h, tops)
-        if invariance_violation(g, st):
-            return st
+    # a column of top t as the lower and the upper neighbourhood see it; the
+    # lower mask is the same for t = span and span + 1, so tops need both
+    below = [(1 << min(t, span)) - 1 for t in range(h + 1)]
+    above = [(1 << max(t - 1, 0)) - 1 for t in range(h + 1)]
+    get = g._memo.get
+    for lo, hi in zip(product(below, repeat=span), product(above, repeat=span)):
+        out_lo = get(lo)
+        if out_lo is None:
+            out_lo = g.apply_masks(lo)
+        out_hi = get(hi)
+        if out_hi is None:
+            out_hi = g.apply_masks(hi)
+        if out_lo == 0 and out_hi == 1:
+            tops = tuple(b.bit_length() + 1 if a else 0 for a, b in zip(lo, hi))
+            return StaircasePattern(span, h, tops)
     return None
 
 
@@ -183,16 +196,24 @@ def column_preservation_violation(g: CaRule, st: StaircasePattern) -> bool:
 
 
 def check_column_preservation(g: CaRule):
-    """Uniform central columns must map to their own value; None or witness."""
+    """Uniform central columns must map to their own value; None or witness.
+
+    Mask tuples run full central column first, then empty, each in
+    lexicographic order of the other column tops; the witness is the first.
+    """
     rho = g.radius
     span = 2 * rho + 1
     require_budget(2 * (span + 1) ** (span - 1), "column preservation check")
-    for central_top in (span, 0):
-        for rest in product(range(span + 1), repeat=span - 1):
-            tops = rest[:rho] + (central_top,) + rest[rho:]
-            st = StaircasePattern(span, span, tops)
-            if column_preservation_violation(g, st):
-                return st
+    cols = [(1 << t) - 1 for t in range(span + 1)]
+    side = [cols] * rho
+    get = g._memo.get
+    for central, want in ((cols[span], 1), (0, 0)):
+        for key in product(*side, (central,), *side):
+            out = get(key)
+            if out is None:
+                out = g.apply_masks(key)
+            if out != want:
+                return StaircasePattern(span, span, tuple(m.bit_length() for m in key))
     return None
 
 

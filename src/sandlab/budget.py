@@ -14,8 +14,10 @@ class BudgetExceeded(Exception):
 
 
 def enumeration_budget() -> int:
-    raw = os.environ.get("SANDLAB_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
+    raw = os.environ.get("SANDLAB_BUDGET") or str(DEFAULT_BUDGET)
+    if not raw.isdecimal():
+        raise ValueError(f"SANDLAB_BUDGET must be a non-negative integer, got {raw!r}")
+    return int(raw)
 
 
 def require_budget(count: int, what: str) -> None:

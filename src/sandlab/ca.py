@@ -7,13 +7,15 @@ fastest; for the 2-d binary rules the last axis is vertical, bottom-to-top).
 
 ``CaRule`` owns the one memo, keyed by flat neighborhoods or, for 2-d
 binary rules, by tuples of per-column bitmasks (``extend_columns``, the
-throughput path of the bridge checks).  Every output is checked to be a
-state; any other value raises ``ValueError``.
+throughput path of the bridge checks); a miss there decodes the key through
+a cache of per-column bit tuples that holds only the masks seen.  Every
+output is checked to be a state; any other value raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from functools import lru_cache
+from itertools import chain, product
 
 from .budget import require_budget
 from .pattern import Pattern
@@ -106,10 +108,15 @@ def ca_extend(g: CaRule, U: Pattern) -> Pattern:
     return Pattern(g.dim, out_order, tuple(entries))
 
 
+@lru_cache(maxsize=4096)
+def _column_bits(mask: int, height: int) -> tuple:
+    return tuple((mask >> v) & 1 for v in range(height))
+
+
 def flat_from_masks(masks: tuple[int, ...], rho: int) -> tuple:
     """Decode a tuple of (2rho+1)-bit column masks into a flat neighborhood."""
     h = 2 * rho + 1
-    return tuple((m >> v) & 1 for m in masks for v in range(h))
+    return tuple(chain.from_iterable(_column_bits(m, h) for m in masks))
 
 
 def extend_columns(g: CaRule, cols: list[int], height: int) -> tuple[list[int], int]:

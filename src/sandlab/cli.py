@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .bridge import decide_sa
-from .budget import BudgetExceeded
+from .budget import BudgetExceeded, enumeration_budget
 from .dsl import RuleParseError, parse_rule, program_from_table_rule, reduction_program, serialize_rule
 from .files import (
     FormatError,
@@ -218,6 +218,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
+    try:
+        enumeration_budget()
+    except ValueError as e:  # a malformed SANDLAB_BUDGET is a usage error
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     try:
         return args.fn(args)
     except (RuleParseError, FormatError) as e:

@@ -12,12 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterator
 
-from .budget import require_budget
 from .heights import Height, MINUS_INF, PLUS_INF, is_finite
 from .lattice import Configuration, height_at
-from .pattern import Pattern, pattern2
 
 
 def beta(r: int, m: Height, n: Height) -> Height:
@@ -133,11 +130,6 @@ class StaircasePattern:
             raise IndexError("outside window")
         return 1 if row <= self.tops[col - 1] else 0
 
-    def to_pattern(self) -> Pattern:
-        return pattern2(
-            [[self.bit(c, v) for v in range(1, self.height + 1)] for c in range(1, self.width + 1)]
-        )
-
 
 class HolePresent(ValueError):
     """A 0 with a 1 directly above it: not in the encoding's image."""
@@ -152,15 +144,6 @@ def column_is_monotone(bits) -> bool:
         elif seen_zero:
             return False
     return True
-
-
-def pattern_contains_hole(p: Pattern) -> bool:
-    """Whether a 2-d binary pattern contains a 0 with a 1 immediately above."""
-    w, h = p.order
-    for c in range(1, w + 1):
-        if not column_is_monotone(p.get((c, v)) for v in range(1, h + 1)):
-            return True
-    return False
 
 
 def zeta_window(x: Configuration, horiz, vert) -> StaircasePattern:
@@ -215,11 +198,3 @@ def zeta_decode_column(
         return MINUS_INF if saturated_below else UNDETERMINED
     return k_lo + ones - 1
 
-
-def enumerate_staircase(width: int, height: int) -> Iterator[StaircasePattern]:
-    """All hole-free binary windows of the given size, lexicographic on tops."""
-    if width < 1 or height < 1:
-        raise ValueError("width and height must be >= 1")
-    require_budget((height + 1) ** width, "staircase enumeration")
-    for tops in product(range(height + 1), repeat=width):
-        yield StaircasePattern(width, height, tops)

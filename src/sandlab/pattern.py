@@ -60,13 +60,3 @@ class Pattern:
 
 def pattern1(entries) -> Pattern:
     return Pattern(1, (len(entries),), tuple(entries))
-
-
-def pattern2(columns) -> Pattern:
-    """Build a 2-d pattern from columns; each column reads bottom-to-top."""
-    cols = tuple(tuple(c) for c in columns)
-    h2 = len(cols[0])
-    if any(len(c) != h2 for c in cols):
-        raise ValueError("ragged columns")
-    flat = tuple(v for col in cols for v in col)
-    return Pattern(2, (len(cols), h2), flat)

@@ -1,4 +1,7 @@
 import random
+from itertools import product
+
+import pytest
 
 from sandlab.bridge import (
     build_ca_from_sa,
@@ -10,8 +13,9 @@ from sandlab.bridge import (
     decide_sa,
     invariance_violation,
 )
-from sandlab.ca import CaRule, table_rule
+from sandlab.ca import CaRule, flat_from_masks, neighborhood_index, table_rule
 from sandlab.lattice import line_config, periodic_config
+from sandlab.metric import StaircasePattern
 from sandlab.nilpotency import make_collapse
 from sandlab.sa import identity_rule, raise_rule, step
 from sandlab.sampling import sample_table_rules
@@ -122,3 +126,102 @@ def test_invariance_window_counts(collapse1):
     g = build_ca_from_sa(collapse1)
     assert check_invariance(g) is None
     assert check_column_preservation(g) is None
+
+
+def _naive_decision(g: CaRule):
+    """(verdict, failed check, witness tops) from one validated pattern
+    per window, in product order of the column tops."""
+    rho = g.radius
+    span = 2 * rho + 1
+    for tops in product(range(span + 2), repeat=span):
+        if invariance_violation(g, StaircasePattern(span, span + 1, tops)):
+            return "NOT_SA", "INVARIANCE", tops
+    for central in (span, 0):
+        for rest in product(range(span + 1), repeat=span - 1):
+            tops = rest[:rho] + (central,) + rest[rho:]
+            if column_preservation_violation(g, StaircasePattern(span, span, tops)):
+                return "NOT_SA", "COLUMN_PRESERVATION", tops
+    return "IS_SA", None, None
+
+
+def _decision(g: CaRule):
+    rep = decide_sa(g)
+    return rep.verdict, rep.failed_check, rep.witness and rep.witness.tops
+
+
+def test_decider_first_witness_random_tables():
+    rand = random.Random(11)
+    for _ in range(40):
+        table = [rand.randint(0, 1) for _ in range(512)]
+        expected = _naive_decision(table_rule(2, 1, 2, table))
+        assert _decision(table_rule(2, 1, 2, table)) == expected
+
+
+def _shift_table(cell: int) -> list[int]:
+    # a radius-1 shift reads one cell of the 3x3 window (flat index: 3 * column + row)
+    table = [0] * 512
+    for flat in product((0, 1), repeat=9):
+        table[neighborhood_index(2, flat)] = flat[cell]
+    return table
+
+
+def _flipped(table: list[int], windows) -> list[int]:
+    out = list(table)
+    for cols in windows:
+        out[neighborhood_index(2, flat_from_masks(cols, 1))] ^= 1
+    return out
+
+
+@pytest.mark.parametrize("cell", [4, 3, 5], ids=["identity", "raise", "lower"])
+def test_decider_first_witness_flipped_shift_tables(cell):
+    table = _shift_table(cell)
+    assert _decision(table_rule(2, 1, 2, table)) == ("IS_SA", None, None)
+    hole_free = list(product((0b000, 0b001, 0b011, 0b111), repeat=3))
+    rand = random.Random(cell)
+    for _ in range(30):
+        flipped = _flipped(table, rand.sample(hole_free, rand.randint(1, 3)))
+        expected = _naive_decision(table_rule(2, 1, 2, flipped))
+        assert _decision(table_rule(2, 1, 2, flipped)) == expected
+
+
+@pytest.mark.parametrize(
+    "cell,flips,tops",
+    [
+        # filling the empty central column between two full ones keeps
+        # every hole-free window hole-free but breaks the empty column
+        (4, [(0b111, 0b000, 0b111), (0b111, 0b001, 0b111)], (3, 0, 3)),
+        # a horizontal shift breaks both uniform columns; full is scanned first
+        (1, [], (0, 3, 0)),
+    ],
+)
+def test_decider_first_witness_column_preservation(cell, flips, tops):
+    flipped = _flipped(_shift_table(cell), flips)
+    expected = _naive_decision(table_rule(2, 1, 2, flipped))
+    assert expected == ("NOT_SA", "COLUMN_PRESERVATION", tops)
+    assert _decision(table_rule(2, 1, 2, flipped)) == expected
+
+
+def _flip_one_key(g: CaRule, key: tuple) -> CaRule:
+    bad = flat_from_masks(key, g.radius)
+
+    def fn(flat):
+        v = g.apply_flat(flat)
+        return 1 - v if flat == bad else v
+
+    return CaRule(g.dim, g.radius, g.states, fn, name=f"FLIP({g.name})")
+
+
+@pytest.mark.parametrize("tops,upper", [((6, 6, 5, 6, 6), False), ((6, 6, 3, 2, 6), True)])
+def test_decider_first_witness_late_in_radius2_scan(collapse1, tops, upper):
+    # flip the lower or the upper neighborhood of one late invariance
+    # window; saturated tops (6 = span + 1) share their lower mask with 5
+    span = 5
+    key = tuple(((1 << t) - 1) >> 1 if upper else ((1 << t) - 1) & 31 for t in tops)
+    g = build_ca_from_sa(collapse1)
+    expected = _naive_decision(_flip_one_key(g, key))
+    assert expected[1] == "INVARIANCE"
+    index = 0
+    for t in expected[2]:
+        index = index * (span + 2) + t
+    assert index > (span + 2) ** span // 2
+    assert _decision(_flip_one_key(g, key)) == expected

@@ -1,3 +1,6 @@
+import random
+from itertools import product
+
 import pytest
 
 from sandlab.ca import (
@@ -12,7 +15,7 @@ from sandlab.ca import (
     neighborhood_index,
     table_rule,
 )
-from sandlab.pattern import pattern1, pattern2
+from sandlab.pattern import Pattern, pattern1
 
 
 def make_min_rule():
@@ -79,17 +82,36 @@ def test_flat_from_masks_order():
     assert flat == (1, 0, 0, 0, 1, 1)
 
 
-def test_extend_columns_matches_ca_extend():
-    from itertools import product
+@pytest.mark.parametrize("rho", [1, 2, 3, 4])
+def test_flat_from_masks_matches_per_bit_decode(rho):
+    rand = random.Random(rho)
+    span = 2 * rho + 1
+    for _ in range(200):
+        masks = tuple(rand.getrandbits(span) for _ in range(rand.randint(1, span)))
+        assert flat_from_masks(masks, rho) == tuple(
+            (m >> v) & 1 for m in masks for v in range(span)
+        )
 
-    g = CaRule(2, 1, 2, lambda flat: max(flat) - min(flat), name="EDGE")
-    cols = [0b10101, 0b00111, 0b11111, 0b00001, 0b01011]
-    out, out_h = extend_columns(g, cols, 5)
-    assert out_h == 3 and len(out) == 3
-    grid = pattern2([[(c >> v) & 1 for v in range(5)] for c in cols])
-    exp = ca_extend(g, grid)
-    got_bits = tuple((out[c] >> v) & 1 for c in range(3) for v in range(3))
-    assert got_bits == exp.entries
+
+def _weighted_parity(flat):
+    # position-sensitive, so a transposed or shifted neighborhood shows
+    return sum(i * b for i, b in enumerate(flat)) % 7 % 2
+
+
+def test_extend_columns_matches_ca_extend():
+    for rho, seed in product((1, 2), range(4)):
+        rand = random.Random(seed)
+        span = 2 * rho + 1
+        width, height = rand.randint(span, span + 4), rand.randint(span, span + 4)
+        cols = [rand.getrandbits(height) for _ in range(width)]
+        g = CaRule(2, rho, 2, _weighted_parity, name="WPAR")
+        out, out_h = extend_columns(g, cols, height)
+        assert out_h == height - 2 * rho and len(out) == width - 2 * rho
+        # columns major, each read bottom-to-top
+        flat = tuple((c >> v) & 1 for c in cols for v in range(height))
+        exp = ca_extend(CaRule(2, rho, 2, _weighted_parity), Pattern(2, (width, height), flat))
+        got_bits = tuple((c >> v) & 1 for c in out for v in range(out_h))
+        assert got_bits == exp.entries, (rho, seed)
 
 
 def test_quiescent_and_spreading():

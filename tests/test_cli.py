@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from sandlab.cli import main
 
 
@@ -177,3 +179,19 @@ def test_simulate_over_step_budget_exits_1(tmp_path, data_dir, capsys, monkeypat
     assert code == 1
     assert err.startswith("error: step: 1056 enumerations exceed budget 1000")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("budget", ["abc", "-5", "1.5"])
+def test_malformed_budget_exits_2(data_dir, capsys, monkeypatch, budget):
+    monkeypatch.setenv("SANDLAB_BUDGET", budget)
+    code, _, err = run(capsys, "check-sa", "--ca", str(data_dir / "bridge_collapse1.ca"))
+    assert code == 2
+    assert err.startswith("error: SANDLAB_BUDGET")
+    assert "Traceback" not in err
+
+
+def test_check_sa_over_invariance_budget_exits_1(data_dir, capsys, monkeypatch):
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    code, _, err = run(capsys, "check-sa", "--ca", str(data_dir / "bridge_collapse1.ca"))
+    assert code == 1
+    assert err.startswith("error: invariance check: 16807 enumerations exceed budget 1000")

@@ -7,15 +7,12 @@ from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.lattice import constant, line_config, periodic_config
 from sandlab.metric import (
     HolePresent,
-    StaircasePattern,
     UNDETERMINED,
     beta,
     column_is_monotone,
     dist_ground,
     dist_top,
-    enumerate_staircase,
     ground_cylinder,
-    pattern_contains_hole,
     top_cylinder,
     zeta_decode_column,
     zeta_window,
@@ -136,8 +133,6 @@ def test_zeta_window_saturation():
 def test_column_monotone_and_holes():
     assert column_is_monotone([1, 1, 0, 0])
     assert not column_is_monotone([1, 0, 1])
-    p = StaircasePattern(2, 3, (1, 3)).to_pattern()
-    assert not pattern_contains_hole(p)
 
 
 def test_zeta_decode_column():
@@ -147,12 +142,6 @@ def test_zeta_decode_column():
     assert zeta_decode_column([0, 0, 0], 4, 6, saturated_below=True) == MINUS_INF
     with pytest.raises(HolePresent):
         zeta_decode_column([0, 1, 0], 4, 6)
-
-
-def test_enumerate_staircase_count():
-    pats = list(enumerate_staircase(3, 2))
-    assert len(pats) == 27
-    assert len(set(pats)) == 27
 
 
 def test_encode_decode_round_trip():
