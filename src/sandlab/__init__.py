@@ -29,7 +29,7 @@ from .sa import (
     FuncRule,
     Range,
     SaRule,
-    TableRule,
+    dense_rule,
     identity_rule,
     iterate_local_rule,
     orbit,

@@ -1,8 +1,7 @@
-"""Finite-alphabet cellular automata on windows and finite line configs.
+"""Finite-alphabet cellular automata on windows.
 
-Rules are function-backed (a table rule's function reads its table); a
-dense table is only materialized when it fits the budget.  Neighborhoods
-travel as flat tuples in pattern order (offsets lexicographic, last axis
+Rules are function-backed (a table rule's function reads its table).
+Neighborhoods travel as flat tuples in pattern order (offsets lexicographic, last axis
 fastest; for the 2-d binary rules the last axis is vertical, bottom-to-top).
 
 ``CaRule`` owns the one memo, keyed by flat neighborhoods or, for 2-d
@@ -17,7 +16,6 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import chain, product
 
-from .budget import require_budget
 from .pattern import Pattern
 
 
@@ -75,24 +73,6 @@ def table_rule(dim: int, radius: int, states: int, table, name: str = "CA-TABLE"
     return CaRule(dim, radius, states, read, name=name, table=table)
 
 
-def materialize_table(g: CaRule) -> CaRule:
-    count = g.states**g.cells
-    require_budget(count, "CA table materialization")
-    if count > 2**26:
-        raise ValueError("table too large to materialize")
-    tab = [0] * count
-    for flat in product(range(g.states), repeat=g.cells):
-        tab[neighborhood_index(g.states, flat)] = g.apply_flat(flat)
-    return table_rule(g.dim, g.radius, g.states, tab, name=g.name)
-
-
-def ca_apply(g: CaRule, neighborhood: Pattern) -> int:
-    expected = (2 * g.radius + 1,) * g.dim
-    if neighborhood.dim != g.dim or neighborhood.order != expected:
-        raise ValueError(f"neighborhood must have order {expected}")
-    return g.apply_flat(neighborhood.entries)
-
-
 def ca_extend(g: CaRule, U: Pattern) -> Pattern:
     """Simultaneous application over every inner position of U."""
     if U.dim != g.dim:
@@ -148,25 +128,3 @@ def extend_columns(g: CaRule, cols: list[int], height: int) -> tuple[list[int], 
                 bits |= 1 << v
         out.append(bits)
     return out, out_h
-
-
-def find_quiescent_states(g: CaRule) -> set[int]:
-    """States fixed on their own uniform neighborhood."""
-    out = set()
-    for s in range(g.states):
-        if g.apply_flat((s,) * g.cells) == s:
-            out.add(s)
-    return out
-
-
-def find_spreading_states(g: CaRule) -> set[int]:
-    """States s with g(U) = s whenever s occurs anywhere in U."""
-    require_budget(g.states**g.cells, "spreading-state search")
-    candidates = set(range(g.states))
-    for flat in product(range(g.states), repeat=g.cells):
-        if not candidates:
-            break
-        v = g.apply_flat(flat)
-        present = set(flat)
-        candidates -= {s for s in candidates if s in present and v != s}
-    return candidates

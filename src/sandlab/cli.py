@@ -12,7 +12,7 @@ import sys
 
 from .bridge import decide_sa
 from .budget import BudgetExceeded, enumeration_budget
-from .dsl import RuleParseError, parse_rule, program_from_table_rule, reduction_program, serialize_rule
+from .dsl import RuleParseError, parse_rule, program_from_table_rule, serialize_rule
 from .files import (
     FormatError,
     bridge_ca_from_program,
@@ -23,7 +23,7 @@ from .files import (
     trajectory_record,
 )
 from .metric import dist_ground, dist_top, zeta_window
-from .nilpotency import SpreadingCa, build_reduction, detect_flatten, find_ultimate_period
+from .nilpotency import SpreadingCa, detect_flatten, find_ultimate_period, reduction_program
 from .sa import orbit
 from .render import render_ascii, render_svg
 
@@ -116,7 +116,6 @@ def cmd_reduce_ca(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    build_reduction(S)  # validates the construction parameters
     _write(args.out, serialize_rule(reduction_program(S)))
     return 0
 

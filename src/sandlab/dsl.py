@@ -8,14 +8,15 @@
 
 Conditions are ||/&&/! expressions over atoms ``R[o] CMP value`` where the
 value is an integer or +inf/-inf.  Parse and semantic errors carry a
-1-based line and column.
+1-based line and column.  ``RuleProgram.to_rule`` compiles a program into
+a memoized ``FuncRule``; the library's own programs (collapse here, the
+spreading-CA reduction in ``nilpotency``) are built from these nodes.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from itertools import product
 
 from .heights import Height, format_height, parse_height
 from .sa import FuncRule, Range, SaRule, range_offsets
@@ -280,26 +281,24 @@ def _parse_output(text: str, radius: int, line_no: int) -> int:
 # --- serialization ----------------------------------------------------------
 
 
-def _fmt_cond(node, parent: str = "or") -> str:
+def _fmt_cond(node) -> str:
     if isinstance(node, Atom):
         off = ",".join(str(o) for o in node.offset)
         return f"R[{off}] {node.op} {format_height(node.value)}"
     if isinstance(node, Not):
-        inner = _fmt_cond(node.inner, "not")
+        inner = _fmt_cond(node.inner)
         if isinstance(node.inner, (And, Or)):
             inner = f"({inner})"
         return f"!{inner}"
     if isinstance(node, And):
         parts = []
         for p in node.parts:
-            s = _fmt_cond(p, "and")
+            s = _fmt_cond(p)
             if isinstance(p, Or):
                 s = f"({s})"
             parts.append(s)
         return " && ".join(parts)
-    parts = [_fmt_cond(p, "or") for p in node.parts]
-    text = " || ".join(parts)
-    return text
+    return " || ".join(_fmt_cond(p) for p in node.parts)
 
 
 def serialize_rule(prog: RuleProgram) -> str:
@@ -320,7 +319,12 @@ def collapse_program(radius: int = 1, dim: int = 1) -> RuleProgram:
 
 
 def program_from_table_rule(rule) -> RuleProgram:
-    """Dense-case program listing every range of a table-backed rule."""
+    """Dense-case program listing every range of any sand rule.
+
+    The rule is evaluated at every range of its signature (budgeted); the
+    most frequent output becomes the default and every other range gets
+    its own case.
+    """
     from .budget import require_budget
     from .sa import all_ranges
 
@@ -343,40 +347,3 @@ def program_from_table_rule(rule) -> RuleProgram:
         )
         cases.append((And(atoms) if len(atoms) > 1 else atoms[0], out))
     return RuleProgram(rule.dim, rule.radius, tuple(cases), default)
-
-
-def reduction_program(S) -> RuleProgram:
-    """The spreading-CA reduction expressed as guarded cases.
-
-    Mirrors the direct rule: marker neighborhoods first, one case per
-    marker offset and encoded state combination, then the collapse cases.
-    """
-    s = S.radius
-    r = max(2 * s, max(S.states))
-    odd = list(range(-(2 * s - 1), 2 * s, 2))
-    even = [o for o in range(-2 * s, 2 * s + 1, 2) if o != 0]
-    cases = []
-    marker_atoms = tuple(
-        Or(tuple(Atom((o,), "==", a) for a in S.states)) for o in odd
-    )
-    cases.append((And(marker_atoms) if len(marker_atoms) > 1 else marker_atoms[0], 0))
-    for center_state in S.states:
-        if center_state == 0:
-            continue
-        a = -center_state
-        for neigh in product(S.states, repeat=len(even)):
-            atoms = [Atom((o,), "==", a) for o in odd]
-            atoms += [Atom((o,), "==", st + a) for o, st in zip(even, neigh)]
-            args = []
-            for o in range(-2 * s, 2 * s + 1, 2):
-                if o == 0:
-                    args.append(center_state)
-                else:
-                    args.append(neigh[even.index(o)])
-            out = S.apply(tuple(args)) + a
-            if not -r <= out <= r:
-                raise ValueError("reduction output escaped the radius")
-            cases.append((And(tuple(atoms)), out))
-    collapse_cond = Or(tuple(Atom(o, "<", 0) for o in range_offsets(1, r)))
-    cases.append((collapse_cond, -1))
-    return RuleProgram(1, r, tuple(cases), 0)

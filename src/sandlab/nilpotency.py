@@ -4,8 +4,10 @@ The reduction turns a 1-d spreading CA into a sand rule of radius
 max(2s, max state): valid encodings carry the CA states on even piles with
 markers between them, markers and state 0 are left alone, encoded states
 follow the CA rule, and everything else collapses towards the lowest pile.
-The commutation with the marker encoding is the construction's correctness
-criterion and is pinned by tests.
+``reduction_program`` writes it as a guarded ``RuleProgram`` (what
+``sandlab reduce-ca`` prints), and ``build_reduction`` is that program's
+compiled form.  The commutation with the marker encoding is the
+construction's correctness criterion and is pinned by tests.
 """
 
 from __future__ import annotations
@@ -14,15 +16,15 @@ from dataclasses import dataclass
 from itertools import product
 
 from .budget import enumeration_budget, require_budget
+from .dsl import And, Atom, Or, RuleProgram
 from .lattice import (
     Configuration,
-    height_at,
     line_config,
     periodic_config,
     raise_by,
 )
 from .metric import ground_cylinder
-from .sa import FuncRule, Range, SaRule, oracle_step_window, step
+from .sa import FuncRule, Range, SaRule, oracle_step_window, range_offsets, step
 
 
 def make_collapse(r: int = 1, d: int = 1) -> SaRule:
@@ -34,7 +36,7 @@ def make_collapse(r: int = 1, d: int = 1) -> SaRule:
     def fn(rng: Range) -> int:
         return -1 if any(v < 0 for v in rng.entries) else 0
 
-    return FuncRule(d, r, fn, f"COLLAPSE({r},{d})")
+    return FuncRule(d, r, fn, f"COLLAPSE({r},{d})", memoize=True)
 
 
 # --- spreading CA over an integer alphabet ---------------------------------
@@ -151,46 +153,44 @@ def reduction_radius(S: SpreadingCa) -> int:
     return max(2 * S.radius, max(S.states))
 
 
-def build_reduction(S: SpreadingCa) -> SaRule:
-    """The sand rule simulating a spreading CA on marker encodings."""
+def reduction_program(S: SpreadingCa) -> RuleProgram:
+    """The spreading-CA reduction expressed as guarded cases.
+
+    A pile at marker level sees plain states at its odd offsets and stays.
+    A pile encoding state q sits q above its markers: it sees -q at every
+    odd offset and q' - q at even offsets for neighbor states q', and moves
+    by S(neighborhood) - q; one case per q != 0 and neighbor combination,
+    fewer than the |states|^(2s+1) that ``SpreadingCa`` validation already
+    charged to the budget.  Every other range collapses.
+    """
     s = S.radius
     r = reduction_radius(S)
-    alphabet = set(S.states)
-    odd_offsets = list(range(-(2 * s - 1), 2 * s, 2))
-    even_offsets = list(range(-2 * s, 2 * s + 1, 2))
+    odd = list(range(-(2 * s - 1), 2 * s, 2))
+    even = [o for o in range(-2 * s, 2 * s + 1, 2) if o != 0]
+    cases = []
+    marker_atoms = tuple(
+        Or(tuple(Atom((o,), "==", a) for a in S.states)) for o in odd
+    )
+    cases.append((And(marker_atoms) if len(marker_atoms) > 1 else marker_atoms[0], 0))
+    for center_state in S.states:
+        if center_state == 0:
+            continue
+        a = -center_state
+        for neigh in product(S.states, repeat=len(even)):
+            atoms = [Atom((o,), "==", a) for o in odd]
+            atoms += [Atom((o,), "==", st + a) for o, st in zip(even, neigh)]
+            out = S.apply((*neigh[:s], center_state, *neigh[s:])) + a
+            if not -r <= out <= r:
+                raise ValueError("reduction output escaped the radius")
+            cases.append((And(tuple(atoms)), out))
+    collapse_cond = Or(tuple(Atom(o, "<", 0) for o in range_offsets(1, r)))
+    cases.append((collapse_cond, -1))
+    return RuleProgram(1, r, tuple(cases), 0)
 
-    def fn(rng: Range) -> int:
-        odd = [rng.entry(o) for o in odd_offsets]
-        # center sits at marker level: neighbors hold plain states
-        if all(isinstance(v, int) and v in alphabet for v in odd):
-            return 0
-        a = odd[0]
-        if (
-            isinstance(a, int)
-            and a < 0
-            and -a in alphabet
-            and all(v == a for v in odd)
-        ):
-            # center is a state pile -a above its markers
-            args = []
-            for o in even_offsets:
-                if o == 0:
-                    st = -a
-                else:
-                    v = rng.entry(o)
-                    if not isinstance(v, int):
-                        args = None
-                        break
-                    st = v - a
-                if st not in alphabet:
-                    args = None
-                    break
-                args.append(st)
-            if args is not None:
-                return S.apply(tuple(args)) + a
-        return -1 if any(v < 0 for v in rng.entries) else 0
 
-    return FuncRule(1, r, fn, f"REDUCTION({S.name})", memoize=True)
+def build_reduction(S: SpreadingCa) -> SaRule:
+    """The sand rule simulating a spreading CA on marker encodings."""
+    return reduction_program(S).to_rule(f"REDUCTION({S.name})")
 
 
 # --- flattening and ultimate periodicity -----------------------------------
@@ -360,92 +360,3 @@ def find_ultimate_period(f: SaRule, max_sum: int, sample_budget: int = 50, seed:
     return PeriodReport(
         "REFUTED", witness=refuted_witness, a=refuted_pair[0], b=refuted_pair[1]
     )
-
-
-# --- CA nilpotency probing -------------------------------------------------
-
-
-@dataclass
-class ProbeReport:
-    outcome: str  # NO / CONSISTENT_WITH_NILPOTENT
-    witness: object = None
-    note: str | None = None
-
-
-def _contains_zero(y: LineCaConfig) -> bool:
-    return y.bg == 0 or 0 in y.core
-
-
-def probe_ca_nilpotency(S: SpreadingCa, max_support: int, max_steps: int) -> ProbeReport:
-    """Look for an orbit cycling without the spreading state ever appearing."""
-    require_budget(len(S.states) ** max_support, "nilpotency probe enumeration")
-    candidates: list[LineCaConfig] = [line_ca((), 0, a) for a in S.states]
-    for width in range(1, max_support + 1):
-        for core in product(S.states, repeat=width):
-            candidates.append(line_ca(core, 0, 0))
-    undetermined = 0
-    for y0 in candidates:
-        seen = {}
-        cur = y0
-        for t in range(max_steps + 1):
-            if _contains_zero(cur):
-                break
-            if cur in seen:
-                return ProbeReport("NO", witness=y0, note=f"cycle entered at step {seen[cur]}")
-            seen[cur] = t
-            cur = S.step_line(cur)
-        else:
-            undetermined += 1
-    note = f"{undetermined} orbits exhausted the step budget" if undetermined else None
-    return ProbeReport("CONSISTENT_WITH_NILPOTENT", note=note)
-
-
-# --- invalid-region repair fixtures ----------------------------------------
-
-
-@dataclass
-class RepairScenario:
-    rule: SaRule
-    spreading: SpreadingCa
-    config: Configuration
-    base: Configuration
-
-
-def longest_valid_span(x: Configuration, S: SpreadingCa, lo: int, hi: int) -> int:
-    """Length of the longest valid sequence in the window, in piles."""
-    best = 0
-    for i in range(lo, hi + 1):
-        m = height_at(x, i)
-        if not isinstance(m, int):
-            continue
-        length = 1
-        j = i
-        while j + 2 <= hi:
-            marker = height_at(x, j + 2)
-            between = height_at(x, j + 1)
-            if (
-                marker == m
-                and isinstance(between, int)
-                and between - m in set(S.states)
-            ):
-                j += 2
-                length = j - i + 1
-            else:
-                break
-        best = max(best, length)
-    return best
-
-
-def invalid_repair_scenario(S: SpreadingCa, seed: int = 0) -> RepairScenario:
-    """A perturbed encoding plus the rule that must repair it."""
-    import random
-
-    rand = random.Random(seed)
-    states = [rand.choice(S.states) for _ in range(5)]
-    base = xi_encode(states)
-    core = list(base.core) or [0]
-    k = rand.randrange(len(core))
-    if isinstance(core[k], int):
-        core[k] -= 1
-    cfg = line_config(core, base.origin, base.left, base.right)
-    return RepairScenario(build_reduction(S), S, cfg, base)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Iterator
+from typing import Any
 
 
 @dataclass(frozen=True)
@@ -45,9 +45,6 @@ class Pattern:
             raise IndexError("index dimension mismatch")
         return self.entries[self._flat(tuple(k))]
 
-    def indices(self) -> Iterator[tuple[int, ...]]:
-        return product(*(range(1, h + 1) for h in self.order))
-
     def crop(self, lo: tuple[int, ...], hi: tuple[int, ...]) -> "Pattern":
         """Sub-pattern over 1-based corners lo..hi (inclusive)."""
         order = tuple(b - a + 1 for a, b in zip(lo, hi))
@@ -56,7 +53,3 @@ class Pattern:
             for k in product(*(range(h) for h in order))
         )
         return Pattern(self.dim, order, entries)
-
-
-def pattern1(entries) -> Pattern:
-    return Pattern(1, (len(entries),), tuple(entries))

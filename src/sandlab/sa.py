@@ -1,7 +1,10 @@
 """Ranges, sand-automaton local rules and exact global steps.
 
 A local rule maps the saturated relative-height neighborhood seen from the
-top of a pile (its range) to a variation in [-r, r].  The global step acts
+top of a pile (its range) to a variation in [-r, r].  Every rule is a
+``FuncRule``: a function of the range, memoized by its entries tuple unless
+built with ``memoize=False``.  A dense table is one more function
+(``dense_rule`` reads ``table[range_index(rng)]``).  The global step acts
 exactly on the finite configuration descriptions: infinite piles are fixed,
 backgrounds move by the flat-range variation, and the core is recomputed
 over the light cone before re-canonicalizing.
@@ -81,7 +84,6 @@ class SaRule:
     dim: int
     radius: int
     name: str
-    _memo: dict | None = None  # entries tuple -> variation, read by step
 
     def apply(self, rng: Range) -> int:
         raise NotImplementedError
@@ -99,14 +101,6 @@ def table_digit(r: int, v: Height) -> int:
     return v + r + 1
 
 
-def digit_value(r: int, d: int) -> Height:
-    if d == 0:
-        return MINUS_INF
-    if d == 2 * r + 2:
-        return PLUS_INF
-    return d - r - 1
-
-
 def range_index(rng: Range) -> int:
     """Dense-table index: sum of digit * (2r+3)^position over sorted offsets."""
     r = rng.radius
@@ -117,37 +111,11 @@ def range_index(rng: Range) -> int:
     return idx
 
 
-def range_from_index(dim: int, r: int, idx: int) -> Range:
-    base = 2 * r + 3
-    n = (2 * r + 1) ** dim - 1
-    entries = []
-    for _ in range(n):
-        entries.append(digit_value(r, idx % base))
-        idx //= base
-    return Range(dim, r, tuple(entries))
-
-
 def all_ranges(dim: int, r: int):
     n = (2 * r + 1) ** dim - 1
     vals = [MINUS_INF] + list(range(-r, r + 1)) + [PLUS_INF]
     for entries in product(vals, repeat=n):
         yield Range(dim, r, entries)
-
-
-class TableRule(SaRule):
-    def __init__(self, dim: int, radius: int, table, name: str = "TABLE"):
-        n = (2 * radius + 3) ** ((2 * radius + 1) ** dim - 1)
-        table = tuple(table)
-        if len(table) != n:
-            raise ValueError(f"dense table needs {n} entries")
-        if any(not -radius <= v <= radius for v in table):
-            raise ValueError("table outputs must lie in [-r, r]")
-        self.dim, self.radius, self.table, self.name = dim, radius, table, name
-
-    def apply(self, rng: Range) -> int:
-        if rng.dim != self.dim or rng.radius != self.radius:
-            raise ValueError("range does not match rule signature")
-        return self.table[range_index(rng)]
 
 
 class FuncRule(SaRule):
@@ -167,13 +135,24 @@ class FuncRule(SaRule):
         return v
 
 
+def dense_rule(dim: int, radius: int, table, name: str = "TABLE") -> SaRule:
+    """The rule whose output at a range is ``table[range_index(rng)]``."""
+    n = (2 * radius + 3) ** ((2 * radius + 1) ** dim - 1)
+    table = tuple(table)
+    if len(table) != n:
+        raise ValueError(f"dense table needs {n} entries")
+    if any(not -radius <= v <= radius for v in table):
+        raise ValueError("table outputs must lie in [-r, r]")
+    return FuncRule(dim, radius, lambda rng: table[range_index(rng)], name, memoize=True)
+
+
 def identity_rule(radius: int = 1, dim: int = 1) -> SaRule:
-    return FuncRule(dim, radius, lambda rng: 0, "IDENTITY")
+    return FuncRule(dim, radius, lambda rng: 0, "IDENTITY", memoize=True)
 
 
 def raise_rule(radius: int = 1, dim: int = 1) -> SaRule:
     """The raising map: every pile gains one grain per step."""
-    return FuncRule(dim, radius, lambda rng: 1, "RAISE")
+    return FuncRule(dim, radius, lambda rng: 1, "RAISE", memoize=True)
 
 
 def range_at(x: Configuration, i, r: int) -> Range:

@@ -10,7 +10,7 @@ import random
 
 from .heights import MINUS_INF, PLUS_INF
 from .lattice import Configuration, grid_config, line_config, periodic_config
-from .sa import TableRule
+from .sa import SaRule, dense_rule
 
 
 def random_height(rand: random.Random, hmax: int = 5, p_inf: float = 0.08):
@@ -66,12 +66,12 @@ def random_bounded_line(
     return line_config(core, rand.randint(-4, 4), bg, bg)
 
 
-def random_table_rule(rand: random.Random, radius: int = 1, dim: int = 1) -> TableRule:
+def random_table_rule(rand: random.Random, radius: int = 1, dim: int = 1) -> SaRule:
     n = (2 * radius + 3) ** ((2 * radius + 1) ** dim - 1)
     table = tuple(rand.randint(-radius, radius) for _ in range(n))
-    return TableRule(dim, radius, table, name=f"RANDOM-{rand.randint(0, 10**6)}")
+    return dense_rule(dim, radius, table, name=f"RANDOM-{rand.randint(0, 10**6)}")
 
 
-def sample_table_rules(count: int, radius: int = 1, dim: int = 1, seed: int = 0) -> list[TableRule]:
+def sample_table_rules(count: int, radius: int = 1, dim: int = 1, seed: int = 0) -> list[SaRule]:
     rand = random.Random(seed)
     return [random_table_rule(rand, radius, dim) for _ in range(count)]

@@ -5,17 +5,13 @@ import pytest
 
 from sandlab.ca import (
     CaRule,
-    ca_apply,
     ca_extend,
     extend_columns,
-    find_quiescent_states,
-    find_spreading_states,
     flat_from_masks,
-    materialize_table,
     neighborhood_index,
     table_rule,
 )
-from sandlab.pattern import Pattern, pattern1
+from sandlab.pattern import Pattern
 
 
 def make_min_rule():
@@ -32,8 +28,8 @@ def test_neighborhood_index_positional():
 
 def test_table_rule_lookup():
     g = make_min_rule()
-    assert ca_apply(g, pattern1([1, 1, 1])) == 1
-    assert ca_apply(g, pattern1([1, 0, 1])) == 0
+    assert g.apply_flat((1, 1, 1)) == 1
+    assert g.apply_flat((1, 0, 1)) == 0
 
 
 def test_table_rule_validation():
@@ -41,15 +37,6 @@ def test_table_rule_validation():
         table_rule(1, 1, 2, [0] * 7)
     with pytest.raises(ValueError):
         table_rule(1, 1, 2, [2] * 8)
-
-
-def test_materialize_matches_function():
-    g = CaRule(1, 1, 2, lambda flat: min(flat), name="MINFN")
-    t = materialize_table(g)
-    from itertools import product
-
-    for flat in product((0, 1), repeat=3):
-        assert t.apply_flat(flat) == g.apply_flat(flat)
 
 
 def test_function_rule_output_validated():
@@ -70,7 +57,7 @@ def test_non_state_output_rejected_on_every_path(value):
 
 def test_ca_extend_shrinks_window():
     g = make_min_rule()
-    p = pattern1([1, 1, 0, 1, 1])
+    p = Pattern(1, (5,), (1, 1, 0, 1, 1))
     out = ca_extend(g, p)
     assert out.order == (3,)
     assert out.entries == (0, 0, 0)
@@ -112,11 +99,3 @@ def test_extend_columns_matches_ca_extend():
         exp = ca_extend(CaRule(2, rho, 2, _weighted_parity), Pattern(2, (width, height), flat))
         got_bits = tuple((c >> v) & 1 for c in out for v in range(out_h))
         assert got_bits == exp.entries, (rho, seed)
-
-
-def test_quiescent_and_spreading():
-    g = make_min_rule()
-    assert find_quiescent_states(g) == {0, 1}
-    assert find_spreading_states(g) == {0}
-    const1 = table_rule(1, 1, 2, [1] * 8)
-    assert find_spreading_states(const1) == {1}

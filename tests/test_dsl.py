@@ -8,11 +8,10 @@ from sandlab.dsl import (
     collapse_program,
     parse_rule,
     program_from_table_rule,
-    reduction_program,
     serialize_rule,
 )
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.nilpotency import make_collapse, min_ca, build_reduction
+from sandlab.nilpotency import build_reduction, make_collapse, min_ca, reduction_program
 from sandlab.sa import Range, all_ranges
 
 
@@ -155,8 +154,11 @@ def test_program_from_table_rule():
 
 
 def test_reduction_program_matches_builder():
+    # the reduction survives the concrete syntax, byte for byte and range by range
     S = min_ca()
+    text = serialize_rule(reduction_program(S))
+    assert serialize_rule(parse_rule(text)) == text
     f = build_reduction(S)
-    g = parse_rule(serialize_rule(reduction_program(S))).to_rule()
+    g = parse_rule(text).to_rule()
     for rng in all_ranges(1, 2):
         assert f.apply(rng) == g.apply(rng)

@@ -10,12 +10,9 @@ from sandlab.nilpotency import (
     detect_flatten,
     drift_between,
     find_ultimate_period,
-    invalid_repair_scenario,
     line_ca,
-    longest_valid_span,
     make_collapse,
     min_ca,
-    probe_ca_nilpotency,
     reduction_radius,
     xi_encode,
     xi_encode_line,
@@ -127,22 +124,3 @@ def test_period_search_refutes_collapse():
     for _ in range(rep.b - rep.a):
         cur = step(f, cur)
     assert drift_between(xa, cur) is None
-
-
-def test_probe_ca_nilpotency():
-    rep = probe_ca_nilpotency(constant_zero_ca(), max_support=4, max_steps=30)
-    assert rep.outcome == "CONSISTENT_WITH_NILPOTENT"
-    rep = probe_ca_nilpotency(min_ca(), max_support=4, max_steps=30)
-    assert rep.outcome == "NO"  # the all-1 background never produces a 0
-
-
-def test_invalid_repair_scenario_flattens():
-    sc = invalid_repair_scenario(constant_zero_ca(), seed=17)
-    rep = detect_flatten(sc.rule, sc.config, 10**4)
-    assert rep.outcome == "CONVERGED"
-
-
-def test_longest_valid_span():
-    S = min_ca()
-    x = xi_encode([1, 1, 0], 0)
-    assert longest_valid_span(x, S, -6, 6) >= 5

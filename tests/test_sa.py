@@ -7,9 +7,9 @@ from sandlab.lattice import height_at, line_config, periodic_config
 from sandlab.nilpotency import make_collapse
 from sandlab.sa import (
     CenterInfiniteError,
-    TableRule,
     all_ranges,
     check_characterization,
+    dense_rule,
     flat_range,
     identity_rule,
     iterate_local_rule,
@@ -17,7 +17,6 @@ from sandlab.sa import (
     orbit,
     raise_rule,
     range_at,
-    range_from_index,
     range_index,
     realize_range,
     step,
@@ -26,8 +25,9 @@ from sandlab.sampling import random_configuration, sample_table_rules
 
 
 def test_range_index_round_trip():
-    for rng in all_ranges(1, 1):
-        assert range_from_index(1, 1, range_index(rng)) == rng
+    # one-to-one onto the dense-table indices: 5**2 and 7**4 ranges
+    for r, n in [(1, 25), (2, 2401)]:
+        assert sorted(range_index(rng) for rng in all_ranges(1, r)) == list(range(n))
 
 
 def test_range_at_reads_saturated_neighbors():
@@ -44,10 +44,14 @@ def test_range_at_infinite_center_raises():
 
 
 def test_table_rule_validation():
-    with pytest.raises(ValueError):
-        TableRule(1, 1, [0] * 10)
-    with pytest.raises(ValueError):
-        TableRule(1, 1, [5] * 625)
+    with pytest.raises(ValueError, match="25 entries"):
+        dense_rule(1, 1, [0] * 10)
+    with pytest.raises(ValueError, match=r"\[-r, r\]"):
+        dense_rule(1, 1, [0] * 24 + [2])
+    table = [(k % 3) - 1 for k in range(25)]
+    f = dense_rule(1, 1, table)
+    for rng in all_ranges(1, 1):
+        assert f.apply(rng) == table[range_index(rng)]
 
 
 def test_collapse_single_pile_orbit():
@@ -234,10 +238,12 @@ def _guarded_rule(dim, r):
 
 
 def _kernel_rules(dim, r):
+    from sandlab.sa import FuncRule
     from sandlab.sampling import random_table_rule
 
     rand = random.Random(10 * dim + r)
-    rules = [_guarded_rule(dim, r), make_collapse(r, dim)]
+    unmemoized = FuncRule(dim, r, make_collapse(r, dim).fn, "COLLAPSE-NOMEMO", memoize=False)
+    rules = [_guarded_rule(dim, r), make_collapse(r, dim), unmemoized]
     if (2 * r + 1) ** dim - 1 <= 4:  # dense tables stay small
         rules.append(random_table_rule(rand, r, dim))
     return rules
@@ -322,3 +328,36 @@ def test_step_evaluates_the_rule_at_finite_piles_only():
         f = FuncRule(x.dim, 1, lambda rng: seen.append(rng) or 0, "COUNT")
         step(f, x)
         assert len(seen) == finite
+
+
+def test_library_rules_evaluate_each_range_once():
+    from sandlab.dsl import collapse_program
+    from sandlab.lattice import grid_config
+    from sandlab.nilpotency import build_reduction, min_ca
+    from sandlab.sampling import random_table_rule
+
+    rand = random.Random(3)
+    rules = [
+        make_collapse(1, 1),
+        make_collapse(2, 1),
+        make_collapse(1, 2),
+        identity_rule(),
+        raise_rule(),
+        raise_rule(1, 2),
+        random_table_rule(rand, 1, 1),
+        random_table_rule(rand, 1, 2),
+        build_reduction(min_ca()),
+        collapse_program(1, 1).to_rule(),
+        iterate_local_rule(make_collapse(1, 1), 2),
+    ]
+    for f in rules:
+        seen = []
+        fn = f.fn
+        f.fn = lambda rng, fn=fn: seen.append(rng.entries) or fn(rng)
+        if f.dim == 1:
+            configs = [line_config([3, 0, 2, 2, -1, PLUS_INF, 4], -2, 0, 1), periodic_config([0, 2, 1, 1])]
+        else:
+            configs = [grid_config([[2, 0, 1], [1, 1, MINUS_INF]], (0, 0), 0)]
+        for x in configs:
+            assert step(f, x) == step(f, x)
+        assert seen and len(seen) == len(set(seen)), f.name
