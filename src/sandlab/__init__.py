@@ -11,8 +11,8 @@ from .lattice import (
     line_config,
     periodic_config,
     raise_by,
+    read_row,
     shift,
-    window,
 )
 from .metric import (
     GroundCylinder,

@@ -71,10 +71,13 @@ def cmd_distance(args) -> int:
 
 
 def cmd_encode(args) -> int:
+    if args.hlo > args.hhi or args.vlo > args.vhi:
+        print("error: the encoding window is empty (hlo > hhi or vlo > vhi)", file=sys.stderr)
+        return 2
     x = _load_config(args.config)
     st = zeta_window(x, (args.hlo, args.hhi), (args.vlo, args.vhi))
     for row in range(st.height, 0, -1):
-        print("".join(str(st.bit(c, row)) for c in range(1, st.width + 1)))
+        print("".join("1" if t >= row else "0" for t in st.tops))
     return 0
 
 

@@ -10,16 +10,18 @@ Every constructor canonicalizes, so two values denote the same infinite
 configuration exactly when they compare equal.  A step configuration
 (left background != right background with an empty core) is canonical with
 the origin marking the boundary.
+
+``read_row`` reads a 1-d description over an interval in one go
+(background, core slice, background, or the period wrapped); every reader
+of a 1-d interval uses it, and ``height_at`` stays the per-index reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
 
 from .heights import Height, add, check_height
-from .pattern import Pattern
 
 
 class Kind(Enum):
@@ -208,20 +210,18 @@ def raise_by(x: Configuration, n: int) -> Configuration:
     )
 
 
-def window(x: Configuration, lo, hi) -> Pattern:
-    """Heights over the box lo..hi as a 1-based pattern."""
-    if x.dim == 1:
-        if isinstance(lo, tuple):
-            (lo,) = lo
-            (hi,) = hi
-        if lo > hi:
-            raise ValueError("lo > hi")
-        return Pattern(1, (hi - lo + 1,), tuple(height_at(x, i) for i in range(lo, hi + 1)))
-    if any(a > b for a, b in zip(lo, hi)):
-        raise ValueError("lo > hi")
-    order = tuple(b - a + 1 for a, b in zip(lo, hi))
-    entries = tuple(
-        height_at(x, (lo[0] + k1, lo[1] + k2))
-        for k1, k2 in product(range(order[0]), range(order[1]))
+def read_row(x: Configuration, lo: int, hi: int) -> list:
+    """Heights of a 1-d description at lo..hi, inclusive (empty if lo > hi)."""
+    if x.dim != 1:
+        raise ValueError("a row read needs a 1-d configuration")
+    if x.kind is Kind.PERIODIC:
+        k, n = lo % x.period, hi + 1 - lo
+        return list((x.cells * ((k + n) // x.period + 1))[k : k + n])
+    # [s, e) is the window relative to the core; a negative repeat count
+    # gives an empty run of background
+    s, e, n = lo - x.origin, hi + 1 - x.origin, len(x.core)
+    return (
+        [x.left] * ((e if e < 0 else 0) - s)
+        + list(x.core[(s if s > 0 else 0) : (e if e > 0 else 0)])
+        + [x.right] * (e - (s if s > n else n))
     )
-    return Pattern(2, order, entries)

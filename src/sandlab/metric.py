@@ -13,8 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from .budget import require_budget
 from .heights import Height, MINUS_INF, PLUS_INF, is_finite
-from .lattice import Configuration, height_at
+from .lattice import Configuration, height_at, read_row
 
 
 def beta(r: int, m: Height, n: Height) -> Height:
@@ -150,23 +151,19 @@ def zeta_window(x: Configuration, horiz, vert) -> StaircasePattern:
     """Binary encoding of a 1-d configuration over a finite window.
 
     Cell (i, k) is 1 iff the pile at i holds at least k grains; both
-    intervals are inclusive.
+    intervals are inclusive and must be non-empty.  The window's cells are
+    charged to ``SANDLAB_BUDGET`` before the row is read.
     """
     if x.dim != 1:
         raise ValueError("the encoding applies to 1-d configurations")
     hlo, hhi = horiz
     vlo, vhi = vert
-    height = vhi - vlo + 1
-    tops = []
-    for i in range(hlo, hhi + 1):
-        v = height_at(x, i)
-        if v == PLUS_INF:
-            tops.append(height)
-        elif v == MINUS_INF:
-            tops.append(0)
-        else:
-            tops.append(max(0, min(height, v - vlo + 1)))
-    return StaircasePattern(hhi - hlo + 1, height, tuple(tops))
+    if hlo > hhi or vlo > vhi:
+        raise ValueError("the encoding window is empty")
+    width, height = hhi - hlo + 1, vhi - vlo + 1
+    require_budget(width * height, "encoding")
+    tops = tuple(max(0, min(height, v - vlo + 1)) for v in read_row(x, hlo, hhi))
+    return StaircasePattern(width, height, tops)
 
 
 UNDETERMINED = object()

@@ -1,7 +1,8 @@
 """Plot emission for trajectories: ascii frames and a static SVG figure.
 
 Each pile becomes a column of glyphs ('#' sand, '.' air) clipped to a
-vertical window; frames are stacked per step.  The SVG variant draws the
+vertical window; frames are stacked per step, and each frame reads its
+row of piles once with ``lattice.read_row``.  The SVG variant draws the
 same clipped columns as filled rectangles, one frame per step, and is a
 static figure rather than anything interactive.
 """
@@ -9,7 +10,7 @@ static figure rather than anything interactive.
 from __future__ import annotations
 
 from .heights import is_finite
-from .lattice import Configuration, height_at
+from .lattice import Configuration, read_row
 from .sa import OrbitRecord
 
 
@@ -28,13 +29,8 @@ def default_window(records: list[OrbitRecord]) -> tuple[int, int, int, int]:
 
 
 def ascii_frame(x: Configuration, hlo: int, hhi: int, vlo: int, vhi: int) -> str:
-    if x.dim != 1:
-        raise ValueError("rendering is for 1-d configurations")
-    lines = []
-    for v in range(vhi, vlo - 1, -1):
-        row = "".join("#" if height_at(x, i) >= v else "." for i in range(hlo, hhi + 1))
-        lines.append(row)
-    return "\n".join(lines)
+    row = read_row(x, hlo, hhi)
+    return "\n".join("".join("#" if h >= v else "." for h in row) for v in range(vhi, vlo - 1, -1))
 
 
 def render_ascii(records: list[OrbitRecord], window=None) -> str:
@@ -75,15 +71,8 @@ def render_svg(records: list[OrbitRecord], window=None) -> str:
             f'<rect x="{_GAP}" y="{y0}" width="{cols * _CELL}" height="{frame_h}" '
             'fill="none" stroke="#888"/>'
         )
-        for c, i in enumerate(range(hlo, hhi + 1)):
-            h = height_at(rec.config, i)
-            # number of filled cells visible in the window
-            if h >= vhi:
-                filled = rows
-            elif h < vlo:
-                filled = 0
-            else:
-                filled = int(h) - vlo + 1
+        for c, h in enumerate(read_row(rec.config, hlo, hhi)):
+            filled = max(0, min(rows, h - vlo + 1))  # filled cells visible in the window
             if filled:
                 x = _GAP + c * _CELL
                 y = y0 + (rows - filled) * _CELL

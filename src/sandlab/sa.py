@@ -11,13 +11,14 @@ over the light cone before re-canonicalizing.
 
 All three shapes (eventually constant in dimension 1 or 2, periodic) share
 one windowed kernel.  ``step`` pads the description once into a flat
-row-major buffer: 2r background piles on every side, or the period wrapped
-r piles each way.  The kernel turns the range offsets into buffer deltas
-once per call, saturates each pile's entries inline and looks the entries
-tuple up in the rule's memo, building a ``Range`` only on a miss.  The work
-of one step (piles times range size) is charged to ``SANDLAB_BUDGET``.
-``oracle_step_window`` and ``range_at`` stay naive per-pile references, and
-the kernel is tested against both.
+row-major buffer: the core with 2r background piles on every side, or one
+period widened by r piles each way.  In dimension 1 that buffer is one
+``lattice.read_row``.  The kernel turns the range offsets into buffer
+deltas once per call, saturates each pile's entries inline and looks the
+entries tuple up in the rule's memo, building a ``Range`` only on a miss.
+The work of one step (piles times range size) is charged to
+``SANDLAB_BUDGET``.  ``oracle_step_window`` and ``range_at`` stay naive
+per-pile references, and the kernel is tested against both.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .lattice import (
     height_at,
     line_config,
     periodic_config,
+    read_row,
 )
 from .metric import beta
 
@@ -225,14 +227,14 @@ def step(f: SaRule, x: Configuration) -> Configuration:
     pad = 2 * r  # the light cone's r plus the range's r
     if x.kind is Kind.PERIODIC:
         p = x.period
-        buf = [x.cells[(k - r) % p] for k in range(p + pad)]
+        buf = read_row(x, -r, p + r - 1)
         return periodic_config(_update(f, buf, (1,), range(r, r + p)))
     if x.dim == 1:
         new_left = add(x.left, _bg_delta(f, x.left))
         new_right = add(x.right, _bg_delta(f, x.right))
         if x.is_constant():
             return line_config((), 0, new_left, new_right)
-        buf = [x.left] * pad + list(x.core) + [x.right] * pad
+        buf = read_row(x, x.origin - pad, x.origin + len(x.core) - 1 + pad)
         core = _update(f, buf, (1,), range(r, len(buf) - r))
         return line_config(core, x.origin - r, new_left, new_right)
     bg = x.left
@@ -386,7 +388,7 @@ def check_characterization(f: SaRule, samples: int, seed: int = 0, modulus_w: in
         if f.dim == 1:
             # agree with x on [-(r+w), r+w], arbitrary elsewhere
             far = r + w + 1 + rand.randint(0, 2)
-            core = [height_at(x, i) for i in range(-far, far + 1)]
+            core = read_row(x, -far, far)
             core[0] = rand.choice([MINUS_INF, PLUS_INF, core[0] if is_finite(core[0]) else 0, 17])
             core[-1] = rand.choice([MINUS_INF, PLUS_INF, -9, 3])
             y = line_config(core, -far, rand.randint(-3, 3), rand.randint(-3, 3))

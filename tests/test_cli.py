@@ -54,6 +54,37 @@ def test_encode_prints_bits(data_dir, capsys):
     assert out == "010\n010\n"
 
 
+@pytest.mark.parametrize(
+    "window",
+    [("0", "-1", "1", "2"), ("3", "0", "1", "2"), ("-1", "1", "2", "1")],
+    ids=["hlo=hhi+1", "hlo>hhi", "vlo>vhi"],
+)
+def test_encode_rejects_empty_windows(data_dir, capsys, window):
+    hlo, hhi, vlo, vhi = window
+    code, out, err = run(
+        capsys,
+        "encode",
+        "--config", str(data_dir / "pile2.cfg"),
+        "--hlo", hlo, "--hhi", hhi, "--vlo", vlo, "--vhi", vhi,
+    )
+    assert code == 2 and out == ""
+    assert err.startswith("error: the encoding window is empty")
+
+
+def test_encode_over_budget_exits_1(data_dir, capsys, monkeypatch):
+    # 101 columns x 10 rows: the cells are charged before the row is read
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    code, out, err = run(
+        capsys,
+        "encode",
+        "--config", str(data_dir / "pile2.cfg"),
+        "--hlo", "-50", "--hhi", "50", "--vlo", "0", "--vhi", "9",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: encoding: 1010 enumerations exceed budget 1000")
+    assert "Traceback" not in err
+
+
 def test_sa2ca_and_check_sa(tmp_path, data_dir, capsys):
     ca = tmp_path / "bridge.ca"
     code, _, _ = run(capsys, "sa2ca", "--rule", str(data_dir / "collapse1.rule"), "--out", str(ca))

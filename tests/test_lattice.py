@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sandlab.heights import MINUS_INF, PLUS_INF, add, check_height, format_height, parse_height
 from sandlab.lattice import (
@@ -9,8 +10,8 @@ from sandlab.lattice import (
     line_config,
     periodic_config,
     raise_by,
+    read_row,
     shift,
-    window,
 )
 
 
@@ -96,7 +97,26 @@ def test_grid_config_trims_all_sides():
     assert height_at(x, (5, 5)) == 0
 
 
-def test_window_contents():
-    x = line_config([1, 2], 0, 9, 9)
-    p = window(x, -1, 2)
-    assert p.entries == (9, 1, 2, 9)
+_heights = st.one_of(st.integers(-6, 6), st.sampled_from([PLUS_INF, MINUS_INF]))
+# eventually constant (steps and empty cores included) and periodic rows
+_rows = st.one_of(
+    st.builds(line_config, st.lists(_heights, max_size=6), st.integers(-5, 5), _heights, _heights),
+    st.builds(periodic_config, st.lists(_heights, min_size=1, max_size=6)),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_rows, st.integers(-9, 9), st.integers(-9, 9))
+@example(line_config([1, 2], 0, 9, 9), -1, 1)
+def test_read_row_matches_height_at(x, dlo, dhi):
+    """Windows left of, across, inside and right of the core (or one
+    period), and empty ones, read as the per-index reference does."""
+    a, b = (0, x.period) if x.kind is Kind.PERIODIC else (x.origin, x.origin + len(x.core))
+    lo, hi = a + dlo, b - 1 + dhi
+    assert read_row(x, lo, hi) == [height_at(x, i) for i in range(lo, hi + 1)]
+
+
+def test_read_row_values_and_dimension():
+    assert read_row(line_config([1, 2], 0, 9, 9), -1, 2) == [9, 1, 2, 9]
+    with pytest.raises(ValueError):
+        read_row(grid_config([[7]]), 0, 1)

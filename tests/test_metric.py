@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.lattice import constant, line_config, periodic_config
+from sandlab.lattice import constant, height_at, line_config, periodic_config
 from sandlab.metric import (
     HolePresent,
     UNDETERMINED,
@@ -17,6 +18,7 @@ from sandlab.metric import (
     zeta_decode_column,
     zeta_window,
 )
+from sandlab.sampling import random_configuration
 
 
 def test_beta_saturates():
@@ -128,6 +130,28 @@ def test_zeta_window_saturation():
     x = line_config([PLUS_INF, MINUS_INF], 0, 0, 0)
     st_ = zeta_window(x, (0, 1), (-2, 2))
     assert st_.tops == (5, 0)
+
+
+def test_zeta_window_matches_definition():
+    """Cell (i, k) is 1 iff the pile at i holds at least k grains."""
+    rand = random.Random(11)
+    for _ in range(2000):
+        x = random_configuration(rand)
+        hlo = rand.randint(-10, 10)
+        hhi = hlo + rand.randint(0, 12)
+        vlo = rand.randint(-8, 8)
+        vhi = vlo + rand.randint(0, 10)
+        tops = tuple(
+            sum(1 for k in range(vlo, vhi + 1) if height_at(x, i) >= k) for i in range(hlo, hhi + 1)
+        )
+        st_ = zeta_window(x, (hlo, hhi), (vlo, vhi))
+        assert (st_.width, st_.height, st_.tops) == (hhi - hlo + 1, vhi - vlo + 1, tops)
+
+
+@pytest.mark.parametrize("horiz,vert", [((0, -1), (0, 3)), ((3, 0), (0, 3)), ((0, 3), (2, 1))])
+def test_zeta_window_rejects_empty_intervals(horiz, vert):
+    with pytest.raises(ValueError, match="empty"):
+        zeta_window(line_config([2]), horiz, vert)
 
 
 def test_column_monotone_and_holes():
