@@ -8,6 +8,12 @@ when it maps hole-free windows to hole-free cells (invariance) and
 preserves uniform columns (the infinite piles); both checks are finite
 and exhaustive, which is what makes the question decidable.  The bridge
 composes ``metric``'s comparator, encoder and decoder with ``ca``'s rules.
+
+The bridge rule reads the column-mask tuple its memo is keyed by: a column
+m is hole-free iff ``m & (m + 1) == 0``, its top is ``m.bit_length()``, and
+the central cell is ``(masks[c] >> c) & 1``.  The decider takes any 2-d
+binary ``CaRule``, including one built from a function of flat
+neighborhoods.
 """
 
 from __future__ import annotations
@@ -16,14 +22,13 @@ from dataclasses import dataclass
 from itertools import product
 
 from .budget import require_budget
-from .ca import CaRule, extend_columns
+from .ca import CaRule, _mask_rule, extend_columns
 from .heights import is_finite
 from .lattice import Configuration, line_config
 from .metric import (
     UNDETERMINED,
     StaircasePattern,
     beta,
-    column_is_monotone,
     zeta_decode_column,
     zeta_window,
 )
@@ -46,23 +51,22 @@ def build_ca_from_sa(f: SaRule) -> CaRule:
     if f.dim != 1:
         raise ValueError("the bridge construction is for 1-d rules")
     r = f.radius
-    side = 4 * r + 1
     center = 2 * r  # 0-based column/row of the window center
 
-    def g(flat: tuple) -> int:
-        cols = [flat[c * side : (c + 1) * side] for c in range(side)]
-        central = cols[center]
-        if any(not column_is_monotone(col) for col in cols):
-            return central[center]
-        t = sum(central)  # 1-based row of the central column's top (0 if empty)
+    def g(masks: tuple) -> int:
+        central = masks[center]
+        cell = (central >> center) & 1
+        if any(m & (m + 1) for m in masks):  # some column has a hole
+            return cell
+        t = central.bit_length()  # 1-based row of the central column's top (0 if empty)
         if not r + 1 <= t <= 3 * r:
-            return central[center]
-        entries = [beta(r, t, sum(cols[center + o])) for o in range(-r, r + 1) if o]
+            return cell
+        entries = [beta(r, t, masks[center + o].bit_length()) for o in range(-r, r + 1) if o]
         delta = apply_local(f, Range(1, r, tuple(entries)))
         j_rel = t - (2 * r + 1)
         return 1 if j_rel + delta >= 0 else 0
 
-    return CaRule(2, 2 * r, 2, g, name=f"BRIDGE({f.name})")
+    return _mask_rule(2 * r, g, name=f"BRIDGE({f.name})")
 
 
 @dataclass

@@ -4,37 +4,46 @@ Rules are function-backed (a table rule's function reads its table).
 Neighborhoods travel as flat tuples in pattern order (offsets lexicographic, last axis
 fastest; for the 2-d binary rules the last axis is vertical, bottom-to-top).
 
-``CaRule`` owns the one memo, keyed by flat neighborhoods or, for 2-d
-binary rules, by tuples of per-column bitmasks (``extend_columns``, the
-throughput path of the bridge checks); a miss there decodes the key through
-a cache of per-column bit tuples that holds only the masks seen.  Every
-output is checked to be a state; any other value raises ``ValueError``.
+``CaRule(dim, radius, states, fn)`` takes a function of flat neighborhoods
+and owns the one memo.  2-d binary rules are also applied to tuples of
+per-column bitmasks (``extend_columns``, the throughput path of the bridge
+checks).  The bridge rule of ``bridge.build_ca_from_sa`` and 2-d binary
+``table_rule``s read those masks themselves: their memo is keyed by masks
+alone, and ``apply_flat`` encodes a flat neighborhood into masks first.
+Any other 2-d binary rule decodes a mask key that misses its memo into a
+flat neighborhood.  Every output is checked to be a state; any other value
+raises ``ValueError``.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import chain, product
+from itertools import product
 
 from .pattern import Pattern
 
 
 class CaRule:
+    _reads_masks = False  # set by _mask_rule: fn takes the column-mask tuple
+
     def __init__(self, dim: int, radius: int, states: int, fn, name: str = "CA", table=None):
         self.dim, self.radius, self.states, self.name = dim, radius, states, name
         self.cells = (2 * radius + 1) ** dim
         self._fn = fn
         self.table = tuple(table) if table is not None else None
+        # the sand rule program a bridge CA was built from, when it is known
+        self.program = None
         self._memo: dict = {}
 
-    def _evaluate(self, key: tuple, flat: tuple) -> int:
-        v = self._fn(flat)
+    def _evaluate(self, key: tuple, arg: tuple) -> int:
+        v = self._fn(arg)
         if not 0 <= v < self.states:
             raise ValueError(f"rule {self.name} returned a non-state: {v}")
         self._memo[key] = v
         return v
 
     def apply_flat(self, flat: tuple) -> int:
+        if self._reads_masks:
+            return self.apply_masks(_masks_from_flat(flat, self.radius))
         v = self._memo.get(flat)
         if v is None:
             v = self._evaluate(flat, flat)
@@ -44,11 +53,19 @@ class CaRule:
         """A 2-d binary rule on a neighborhood given as column bitmasks."""
         v = self._memo.get(masks)
         if v is None:
-            v = self._evaluate(masks, flat_from_masks(masks, self.radius))
+            arg = masks if self._reads_masks else flat_from_masks(masks, self.radius)
+            v = self._evaluate(masks, arg)
         return v
 
     def __repr__(self):
         return f"<CaRule {self.name} dim={self.dim} r={self.radius} states={self.states}>"
+
+
+def _mask_rule(radius: int, fn, name: str, table=None) -> CaRule:
+    """A 2-d binary rule whose ``fn`` reads the column-mask tuple."""
+    g = CaRule(2, radius, 2, fn, name=name, table=table)
+    g._reads_masks = True
+    return g
 
 
 def neighborhood_index(states: int, flat: tuple) -> int:
@@ -66,6 +83,14 @@ def table_rule(dim: int, radius: int, states: int, table, name: str = "CA-TABLE"
         raise ValueError(f"dense table needs {states}**{cells} entries, got {len(table)}")
     if any(not 0 <= v < states for v in table):
         raise ValueError("table outputs must be states")
+    if dim == 2 and states == 2:
+        span = 2 * radius + 1
+
+        # neighborhood_index(2, flat) with column c's bits at c * span
+        def read_masks(masks: tuple) -> int:
+            return table[sum(m << (c * span) for c, m in enumerate(masks))]
+
+        return _mask_rule(radius, read_masks, name, table)
 
     def read(flat: tuple) -> int:
         return table[neighborhood_index(states, flat)]
@@ -88,15 +113,18 @@ def ca_extend(g: CaRule, U: Pattern) -> Pattern:
     return Pattern(g.dim, out_order, tuple(entries))
 
 
-@lru_cache(maxsize=4096)
-def _column_bits(mask: int, height: int) -> tuple:
-    return tuple((mask >> v) & 1 for v in range(height))
-
-
 def flat_from_masks(masks: tuple[int, ...], rho: int) -> tuple:
     """Decode a tuple of (2rho+1)-bit column masks into a flat neighborhood."""
     h = 2 * rho + 1
-    return tuple(chain.from_iterable(_column_bits(m, h) for m in masks))
+    return tuple((m >> v) & 1 for m in masks for v in range(h))
+
+
+def _masks_from_flat(flat: tuple, rho: int) -> tuple:
+    """Encode a flat 2-d binary neighborhood as its (2rho+1)-bit column masks."""
+    h = 2 * rho + 1
+    return tuple(
+        sum(b << v for v, b in enumerate(flat[c : c + h])) for c in range(0, len(flat), h)
+    )
 
 
 def extend_columns(g: CaRule, cols: list[int], height: int) -> tuple[list[int], int]:

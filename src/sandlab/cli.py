@@ -102,7 +102,7 @@ def cmd_check_sa(args) -> int:
     if args.extract is not None:
         # a bridge-backed CA already carries the rule it was built from;
         # the extraction provably recovers it, so export that program
-        prog = getattr(g, "_program", None)
+        prog = g.program
         if prog is None:
             prog = program_from_table_rule(report.extracted)
         _write(args.extract, serialize_rule(prog))

@@ -190,9 +190,8 @@ def serialize_ca(g: CaRule) -> str:
         f"radius {g.radius}",
         f"states {g.states}",
     ]
-    prog = getattr(g, "_program", None)
-    if prog is not None:
-        return "\n".join(head) + "\nbridge\n" + serialize_rule(prog)
+    if g.program is not None:
+        return "\n".join(head) + "\nbridge\n" + serialize_rule(g.program)
     if g.table is None:
         raise FormatError("cannot serialize a function-backed CA without a table")
     digits = "".join(str(v) for v in g.table)
@@ -201,7 +200,7 @@ def serialize_ca(g: CaRule) -> str:
 
 def bridge_ca_from_program(prog: RuleProgram) -> CaRule:
     g = build_ca_from_sa(prog.to_rule())
-    g._program = prog
+    g.program = prog
     return g
 
 

@@ -4,11 +4,13 @@ Each pile becomes a column of glyphs ('#' sand, '.' air) clipped to a
 vertical window; frames are stacked per step, and each frame reads its
 row of piles once with ``lattice.read_row``.  The SVG variant draws the
 same clipped columns as filled rectangles, one frame per step, and is a
-static figure rather than anything interactive.
+static figure rather than anything interactive.  Both charge frames x
+columns x rows to ``SANDLAB_BUDGET`` before they read any row.
 """
 
 from __future__ import annotations
 
+from .budget import require_budget
 from .heights import is_finite
 from .lattice import Configuration, read_row
 from .sa import OrbitRecord
@@ -28,15 +30,22 @@ def default_window(records: list[OrbitRecord]) -> tuple[int, int, int, int]:
     return hlo, hhi, vlo, vhi
 
 
+def _charged_window(records: list[OrbitRecord], window) -> tuple[int, int, int, int]:
+    """The window to draw, its frames x columns x rows charged to the budget."""
+    if window is None:
+        window = default_window(records)
+    hlo, hhi, vlo, vhi = window
+    require_budget(len(records) * (hhi - hlo + 1) * (vhi - vlo + 1), "render")
+    return window
+
+
 def ascii_frame(x: Configuration, hlo: int, hhi: int, vlo: int, vhi: int) -> str:
     row = read_row(x, hlo, hhi)
     return "\n".join("".join("#" if h >= v else "." for h in row) for v in range(vhi, vlo - 1, -1))
 
 
 def render_ascii(records: list[OrbitRecord], window=None) -> str:
-    if window is None:
-        window = default_window(records)
-    hlo, hhi, vlo, vhi = window
+    hlo, hhi, vlo, vhi = _charged_window(records, window)
     frames = []
     for rec in records:
         frames.append(f"step {rec.step}\n" + ascii_frame(rec.config, hlo, hhi, vlo, vhi))
@@ -48,9 +57,7 @@ _GAP = 18
 
 
 def render_svg(records: list[OrbitRecord], window=None) -> str:
-    if window is None:
-        window = default_window(records)
-    hlo, hhi, vlo, vhi = window
+    hlo, hhi, vlo, vhi = _charged_window(records, window)
     cols = hhi - hlo + 1
     rows = vhi - vlo + 1
     frame_h = rows * _CELL

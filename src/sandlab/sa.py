@@ -17,8 +17,9 @@ period widened by r piles each way.  In dimension 1 that buffer is one
 deltas once per call, saturates each pile's entries inline and looks the
 entries tuple up in the rule's memo, building a ``Range`` only on a miss.
 The work of one step (piles times range size) is charged to
-``SANDLAB_BUDGET``.  ``oracle_step_window`` and ``range_at`` stay naive
-per-pile references, and the kernel is tested against both.
+``SANDLAB_BUDGET`` before anything is built.  ``oracle_step_window`` and
+``range_at`` stay naive per-pile references, and the kernel is tested
+against both.
 """
 
 from __future__ import annotations
@@ -199,7 +200,6 @@ def _update(f: SaRule, buf: list, strides: tuple, positions) -> list:
     """
     r = f.radius
     deltas = [sum(o * s for o, s in zip(off, strides)) for off in range_offsets(f.dim, r)]
-    require_budget(len(positions) * len(deltas), "step")
     memo = f._memo
     out = []
     for p in positions:
@@ -224,6 +224,17 @@ def step(f: SaRule, x: Configuration) -> Configuration:
     if f.dim != x.dim:
         raise ValueError("dimension mismatch")
     r = f.radius
+    # piles recomputed times range size, charged before any buffer is built;
+    # a constant configuration still reads one flat range
+    if x.kind is Kind.PERIODIC:
+        piles = x.period
+    elif x.is_constant():
+        piles = 1
+    elif x.dim == 1:
+        piles = len(x.core) + 2 * r
+    else:
+        piles = (len(x.core) + 2 * r) * (len(x.core[0]) + 2 * r)
+    require_budget(piles * ((2 * r + 1) ** f.dim - 1), "step")
     pad = 2 * r  # the light cone's r plus the range's r
     if x.kind is Kind.PERIODIC:
         p = x.period

@@ -14,16 +14,82 @@ from sandlab.bridge import (
     invariance_violation,
 )
 from sandlab.ca import CaRule, flat_from_masks, neighborhood_index, table_rule
+from sandlab.dsl import parse_rule
 from sandlab.lattice import line_config, periodic_config
-from sandlab.metric import StaircasePattern
+from sandlab.metric import StaircasePattern, beta, column_is_monotone
 from sandlab.nilpotency import make_collapse
-from sandlab.sa import identity_rule, raise_rule, step
+from sandlab.sa import Range, apply_local, dense_rule, identity_rule, raise_rule, step
 from sandlab.sampling import sample_table_rules
 
 
 def test_bridge_dimensions():
     g = build_ca_from_sa(make_collapse(1, 1))
     assert (g.dim, g.radius, g.states) == (2, 2, 2)
+
+
+def _flat_bridge_rule(f):
+    """The bridge rule read off a flat neighborhood, cell by cell: the
+    naive reference for the column-mask rule of ``build_ca_from_sa``."""
+    r = f.radius
+    side = 4 * r + 1
+    center = 2 * r
+
+    def g(flat: tuple) -> int:
+        cols = [flat[c * side : (c + 1) * side] for c in range(side)]
+        central = cols[center]
+        if any(not column_is_monotone(col) for col in cols):
+            return central[center]
+        t = sum(central)
+        if not r + 1 <= t <= 3 * r:
+            return central[center]
+        entries = [beta(r, t, sum(cols[center + o])) for o in range(-r, r + 1) if o]
+        delta = apply_local(f, Range(1, r, tuple(entries)))
+        return 1 if t - (2 * r + 1) + delta >= 0 else 0
+
+    return g
+
+
+def _bridge_test_rules(r: int, rand: random.Random):
+    guarded = parse_rule(
+        f"sarule v1\ndim 1\nradius {r}\n"
+        f"case R[-{r}] >= 2 && R[1] < 0 => 1\n"
+        f"case R[{r}] == -inf || R[-1] <= -1 => -1\n"
+        "default => 0\n"
+    ).to_rule()
+    n = (2 * r + 3) ** (2 * r)
+    tables = [dense_rule(1, r, [rand.randint(-r, r) for _ in range(n)]) for _ in range(3)]
+    return [make_collapse(r, 1), guarded] + tables
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_bridge_rule_matches_flat_reference(r):
+    rand = random.Random(r)
+    rho = 2 * r
+    span = 2 * rho + 1
+    hole_free = [(1 << t) - 1 for t in range(span + 1)]
+    if r == 1:
+        keys = list(product(hole_free, repeat=span))
+    else:  # (span + 1) ** span = 10^9 hole-free keys: sample them
+        keys = [tuple(rand.choice(hole_free) for _ in range(span)) for _ in range(3000)]
+    keys += [tuple(rand.getrandbits(span) for _ in range(span)) for _ in range(3000)]
+    # a hole in one column only, the others hole-free
+    holed = [m for m in range(1 << span) if m & (m + 1)]
+    for _ in range(1000):
+        key = [rand.choice(hole_free) for _ in range(span)]
+        key[rand.randrange(span)] = rand.choice(holed)
+        keys.append(tuple(key))
+    for f in _bridge_test_rules(r, rand):
+        g, ref = build_ca_from_sa(f), _flat_bridge_rule(f)
+        for key in keys:
+            assert g.apply_masks(key) == ref(flat_from_masks(key, rho)), (f.name, key)
+
+
+def test_binary_table_reads_masks():
+    rand = random.Random(5)
+    table = [rand.randint(0, 1) for _ in range(512)]
+    g = table_rule(2, 1, 2, table)
+    for key in product(range(8), repeat=3):
+        assert g.apply_masks(key) == table[neighborhood_index(2, flat_from_masks(key, 1))]
 
 
 def test_conjugacy_collapse():

@@ -85,17 +85,76 @@ def _weighted_parity(flat):
     return sum(i * b for i, b in enumerate(flat)) % 7 % 2
 
 
+def _extend_both(make_rule, cols: list[int], height: int):
+    """extend_columns on one rule instance and the reference ca_extend on
+    another, so the two never share a memo; both as flat output bits."""
+    g = make_rule()
+    rho = g.radius
+    width = len(cols)
+    out, out_h = extend_columns(g, cols, height)
+    assert out_h == height - 2 * rho and len(out) == width - 2 * rho
+    # columns major, each read bottom-to-top
+    flat = tuple((c >> v) & 1 for c in cols for v in range(height))
+    exp = ca_extend(make_rule(), Pattern(2, (width, height), flat))
+    got_bits = tuple((c >> v) & 1 for c in out for v in range(out_h))
+    return got_bits, exp.entries
+
+
+def _random_window(rand, span: int, hole_free: bool):
+    width, height = rand.randint(span, span + 4), rand.randint(span, span + 4)
+    if hole_free:
+        return [(1 << rand.randint(0, height)) - 1 for _ in range(width)], height
+    return [rand.getrandbits(height) for _ in range(width)], height
+
+
 def test_extend_columns_matches_ca_extend():
     for rho, seed in product((1, 2), range(4)):
         rand = random.Random(seed)
+        cols, height = _random_window(rand, 2 * rho + 1, False)
+        got, exp = _extend_both(lambda: CaRule(2, rho, 2, _weighted_parity, name="WPAR"), cols, height)
+        assert got == exp, (rho, seed)
+
+
+def _mask_rules(rand):
+    """Rules that read column masks: a radius-1 binary table, radius-2 bridges."""
+    from sandlab.bridge import build_ca_from_sa
+    from sandlab.nilpotency import make_collapse
+    from sandlab.sa import raise_rule
+
+    table = [rand.randint(0, 1) for _ in range(512)]
+    return [
+        lambda: table_rule(2, 1, 2, table, name="RANDOM"),
+        lambda: build_ca_from_sa(make_collapse(1, 1)),
+        lambda: build_ca_from_sa(raise_rule()),
+    ]
+
+
+def test_extend_columns_matches_ca_extend_on_mask_rules():
+    rand = random.Random(9)
+    for make_rule in _mask_rules(rand):
+        span = 2 * make_rule().radius + 1
+        for t in range(8):
+            cols, height = _random_window(rand, span, t % 2 == 0)
+            got, exp = _extend_both(make_rule, cols, height)
+            assert got == exp, (make_rule().name, cols, height)
+
+
+def test_mask_rule_memo_holds_only_masks():
+    rand = random.Random(10)
+    for make_rule in _mask_rules(rand):
+        g = make_rule()
+        rho = g.radius
         span = 2 * rho + 1
-        width, height = rand.randint(span, span + 4), rand.randint(span, span + 4)
-        cols = [rand.getrandbits(height) for _ in range(width)]
-        g = CaRule(2, rho, 2, _weighted_parity, name="WPAR")
-        out, out_h = extend_columns(g, cols, height)
-        assert out_h == height - 2 * rho and len(out) == width - 2 * rho
-        # columns major, each read bottom-to-top
+        cols, height = _random_window(rand, span, True)
         flat = tuple((c >> v) & 1 for c in cols for v in range(height))
-        exp = ca_extend(CaRule(2, rho, 2, _weighted_parity), Pattern(2, (width, height), flat))
-        got_bits = tuple((c >> v) & 1 for c in out for v in range(out_h))
-        assert got_bits == exp.entries, (rho, seed)
+        window = Pattern(2, (len(cols), height), flat)
+        by_flat = [
+            g.apply_flat(window.crop((c + 1, v + 1), (c + span, v + span)).entries)
+            for c in range(len(cols) - 2 * rho)
+            for v in range(height - 2 * rho)
+        ]
+        out, out_h = extend_columns(g, cols, height)
+        assert by_flat == [(c >> v) & 1 for c in out for v in range(out_h)]
+        assert g._memo and all(
+            len(key) == span and all(0 <= m < 1 << span for m in key) for key in g._memo
+        ), g.name

@@ -180,6 +180,25 @@ def test_render_svg_is_well_formed(tmp_path, data_dir, capsys):
     ET.fromstring(out)
 
 
+@pytest.mark.parametrize("fmt", ["ascii", "svg"])
+def test_render_over_budget_exits_1(tmp_path, capsys, monkeypatch, fmt):
+    # a pile at index 10^5 widens each of the 2 frames to 200001 columns x 5 rows
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text("sandcfg v1\ndim 1\nkind eventually-constant\nbg 0\norigin 100000\nheights 2\n")
+    rule = tmp_path / "id.rule"
+    rule.write_text("sarule v1\ndim 1\nradius 1\ndefault => 0\n")
+    traj = tmp_path / "traj.jsonl"
+    code, _, _ = run(
+        capsys, "simulate", "--rule", str(rule), "--config", str(cfg), "--steps", "1", "--out", str(traj)
+    )
+    assert code == 0
+    code, out, err = run(capsys, "render", "--traj", str(traj), "--format", fmt, "--out", "-")
+    assert code == 1 and out == ""
+    assert err.startswith("error: render: 2000010 enumerations exceed budget 1000")
+    assert "Traceback" not in err
+
+
 def test_usage_errors_exit_2(capsys, tmp_path):
     assert run(capsys, "no-such-command")[0] == 2
     bad = tmp_path / "bad.rule"

@@ -303,6 +303,27 @@ def test_step_is_budgeted(monkeypatch):
     assert step(make_collapse(1, 2), grid_config([[1]], (0, 0), 0)) == constant(0, dim=2)
 
 
+def test_step_is_charged_before_it_allocates(monkeypatch):
+    import tracemalloc
+
+    from sandlab.budget import BudgetExceeded
+    from sandlab.lattice import constant
+
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    f = identity_rule(radius=10**5)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded):
+            step(f, line_config([2]))
+        # a constant configuration still reads one flat range of 2r entries
+        with pytest.raises(BudgetExceeded, match="step: 200000 enumerations"):
+            step(f, constant(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+
+
 def test_range_entry_lookup():
     from sandlab.sa import Range
 
