@@ -11,8 +11,9 @@ checks).  The bridge rule of ``bridge.build_ca_from_sa`` and 2-d binary
 ``table_rule``s read those masks themselves: their memo is keyed by masks
 alone, and ``apply_flat`` encodes a flat neighborhood into masks first.
 Any other 2-d binary rule decodes a mask key that misses its memo into a
-flat neighborhood.  Every output is checked to be a state; any other value
-raises ``ValueError``.
+flat neighborhood.  Every output is checked to be a state, and so is every
+neighborhood entry before a rule reads it (a flat-keyed memo hit was checked
+when it missed); any other value raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -41,11 +42,19 @@ class CaRule:
         self._memo[key] = v
         return v
 
+    def _check_states(self, flat: tuple) -> None:
+        for v in flat:
+            if not 0 <= v < self.states:
+                raise ValueError(f"rule {self.name} read a non-state: {v}")
+
     def apply_flat(self, flat: tuple) -> int:
         if self._reads_masks:
+            self._check_states(flat)
             return self.apply_masks(_masks_from_flat(flat, self.radius))
         v = self._memo.get(flat)
         if v is None:
+            # only checked neighborhoods enter the memo, so a hit needs no check
+            self._check_states(flat)
             v = self._evaluate(flat, flat)
         return v
 
@@ -105,6 +114,7 @@ def ca_extend(g: CaRule, U: Pattern) -> Pattern:
     w = 2 * g.radius + 1
     if any(h < w for h in U.order):
         raise ValueError("every side of the window must span a neighborhood")
+    g._check_states(U.entries)
     out_order = tuple(h - w + 1 for h in U.order)
     entries = []
     for k in product(*(range(1, h + 1) for h in out_order)):

@@ -22,7 +22,7 @@ from .files import (
     serialize_ca,
     trajectory_record,
 )
-from .metric import dist_ground, dist_top, zeta_window
+from .metric import distance_exponent, zeta_window
 from .nilpotency import SpreadingCa, detect_flatten, find_ultimate_period, reduction_program
 from .sa import orbit
 from .render import render_ascii, render_svg
@@ -62,11 +62,8 @@ def cmd_simulate(args) -> int:
 def cmd_distance(args) -> int:
     a = _load_config(args.configs[0])
     b = _load_config(args.configs[1])
-    d = dist_top(a, b) if args.metric == "top" else dist_ground(a, b)
-    if d == 0:
-        print("0")
-    else:
-        print(f"2^-{d.denominator.bit_length() - 1}")
+    k = distance_exponent(a, b, top=args.metric == "top")
+    print("0" if k is None else f"2^-{k}")
     return 0
 
 

@@ -23,7 +23,7 @@ from .lattice import (
     periodic_config,
     raise_by,
 )
-from .metric import ground_cylinder
+from .metric import distance_exponent
 from .sa import FuncRule, Range, SaRule, oracle_step_window, range_offsets, step
 
 
@@ -230,9 +230,9 @@ def detect_flatten(f: SaRule, x: Configuration, budget: int) -> FlattenReport:
             )
         prev = cur
         cur = step(f, cur)
-    w = 0
-    while w < 64 and ground_cylinder(cur, 0, w) == ground_cylinder(prev, 0, w):
-        w += 1
+    # the last two configurations share every ground cylinder below radius k
+    k = distance_exponent(cur, prev, cap=64)
+    w = 64 if k is None else k
     return FlattenReport("NOT_CONVERGED", budget=budget, stable_radius=w - 1 if w else 0)
 
 

@@ -55,6 +55,27 @@ def test_non_state_output_rejected_on_every_path(value):
         decide_sa(CaRule(2, 1, 2, lambda flat: value))
 
 
+def test_non_state_neighborhood_entries_rejected():
+    # a stray 2 must not read as the bit of the next cell, nor index past
+    # the table
+    t = [0] * 512
+    t[2] = 1
+    g = table_rule(2, 1, 2, t)
+    for flat in [(2,) + (0,) * 8, (2,) + (1,) * 8]:
+        with pytest.raises(ValueError, match="non-state: 2"):
+            g.apply_flat(flat)
+    h = CaRule(1, 1, 3, lambda flat: 0)
+    with pytest.raises(ValueError, match="non-state: -1"):
+        h.apply_flat((0, -1, 2))
+    assert h.apply_flat((0, 1, 2)) == 0
+    # the whole window is checked before the rule reads any neighborhood
+    calls = []
+    k = CaRule(1, 1, 3, lambda flat: calls.append(flat) or 0)
+    with pytest.raises(ValueError, match="non-state: 3"):
+        ca_extend(k, Pattern(1, (5,), (0, 1, 2, 0, 3)))
+    assert calls == []
+
+
 def test_ca_extend_shrinks_window():
     g = make_min_rule()
     p = Pattern(1, (5,), (1, 1, 0, 1, 1))

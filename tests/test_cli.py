@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -41,6 +42,72 @@ def test_distance_output(data_dir, capsys, tmp_path):
         capsys, "distance", str(data_dir / "zero.cfg"), str(data_dir / "zero.cfg")
     )
     assert code == 0 and out.strip() == "0"
+
+
+def _constant_cfg(path, height):
+    path.write_text(
+        f"sandcfg v1\ndim 1\nkind eventually-constant\nbg {height}\norigin 0\nheights\n"
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("metric", ["ground", "top"])
+def test_distance_of_huge_constants_exits_1_at_once(tmp_path, capsys, metric):
+    # the exact answer 2^-(10^12) is over the budget; the closed form finds
+    # the exponent without walking the radii up to it
+    a = _constant_cfg(tmp_path / "a.cfg", 10**12)
+    b = _constant_cfg(tmp_path / "b.cfg", 10**12 + 1)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "distance", "--metric", metric, a, b)
+    elapsed = time.perf_counter() - start
+    if metric == "top":  # the centres differ at radius 0
+        assert (code, out) == (0, "2^-0\n")
+    else:
+        assert code == 1 and out == ""
+        assert err == f"error: distance: {10**12} enumerations exceed budget 10000000\n"
+    assert elapsed < 0.5
+
+
+def test_distance_over_budget_exits_1(tmp_path, capsys, monkeypatch):
+    a = _constant_cfg(tmp_path / "a.cfg", 50)
+    b = _constant_cfg(tmp_path / "b.cfg", 51)
+    code, out, _ = run(capsys, "distance", a, b)
+    assert (code, out) == (0, "2^-50\n")
+    monkeypatch.setenv("SANDLAB_BUDGET", "10")
+    code, out, err = run(capsys, "distance", a, b)
+    assert code == 1 and out == ""
+    assert err == "error: distance: 50 enumerations exceed budget 10\n"
+
+
+def test_distance_work_follows_the_answer(tmp_path, capsys):
+    # a core 10^10 sites out, or two periods whose common period is about
+    # 10^8: the answer is found near 0 and nothing farther is read
+    far = tmp_path / "far.cfg"
+    far.write_text(
+        "sandcfg v1\ndim 1\nkind eventually-constant\nbg 0\norigin 10000000000\nheights 1\n"
+    )
+    one = _constant_cfg(tmp_path / "one.cfg", 1)
+    p, q = tmp_path / "p.cfg", tmp_path / "q.cfg"
+    for path, n in ((p, 9973), (q, 9967)):
+        cells = " ".join(["0"] * (n - 1) + [str(n % 7)])
+        path.write_text(f"sandcfg v1\ndim 1\nkind periodic\nperiod {n}\nheights {cells}\n")
+    start = time.perf_counter()
+    assert run(capsys, "distance", str(far), one) == (0, "2^-0\n", "")
+    # site -1 holds 9973 % 7 = 5 against 9967 % 7 = 6
+    assert run(capsys, "distance", str(p), str(q)) == (0, "2^-5\n", "")
+    assert time.perf_counter() - start < 0.5
+
+
+def test_distance_far_only_difference_exits_1(tmp_path, capsys, monkeypatch):
+    far = tmp_path / "far.cfg"
+    far.write_text(
+        "sandcfg v1\ndim 1\nkind eventually-constant\nbg 0\norigin 1000000000000\nheights 1\n"
+    )
+    zero = _constant_cfg(tmp_path / "zero.cfg", 0)
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    code, out, err = run(capsys, "distance", str(far), zero)
+    assert (code, out) == (1, "")
+    assert err == "error: distance: 1001 enumerations exceed budget 1000\n"
 
 
 def test_encode_prints_bits(data_dir, capsys):

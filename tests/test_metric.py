@@ -1,11 +1,20 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.lattice import constant, height_at, line_config, periodic_config
+from sandlab.budget import BudgetExceeded
+from sandlab.lattice import (
+    constant,
+    grid_config,
+    height_at,
+    line_config,
+    periodic_config,
+    shift,
+)
 from sandlab.metric import (
     HolePresent,
     UNDETERMINED,
@@ -13,6 +22,7 @@ from sandlab.metric import (
     column_is_monotone,
     dist_ground,
     dist_top,
+    distance_exponent,
     ground_cylinder,
     top_cylinder,
     zeta_decode_column,
@@ -176,3 +186,143 @@ def test_encode_decode_round_trip():
         assert zeta_decode_column(col, -7, 7) == (
             x.core[i + 2] if -2 <= i <= 1 else 0
         )
+
+
+# --- the closed forms against the cylinder definitions ----------------------
+
+
+def _scan_cap(x, y) -> int:
+    idx = x.extent() + y.extent() + 2
+    finite = [abs(v) for v in x.heights() + y.heights() if isinstance(v, int)]
+    return idx + max(finite, default=0) + 2
+
+
+def naive_distance(x, y, cylinder) -> Fraction:
+    """2^-r for the least radius r whose cylinders around 0 differ."""
+    if x == y:
+        return Fraction(0)
+    zero = (0,) * x.dim
+    for r in range(_scan_cap(x, y) + 1):
+        if cylinder(x, zero, r) != cylinder(y, zero, r):
+            return Fraction(1, 2**r)
+    raise AssertionError("distinct configurations with no differing cylinder")
+
+
+heights = st.one_of(
+    st.integers(min_value=-6, max_value=6), st.sampled_from([PLUS_INF, MINUS_INF])
+)
+
+
+@st.composite
+def configurations(draw, dim):
+    if dim == 2:
+        w = draw(st.integers(min_value=1, max_value=3))
+        rows = draw(st.lists(st.lists(heights, min_size=w, max_size=w), max_size=3))
+        origin = (draw(st.integers(-3, 3)), draw(st.integers(-3, 3)))
+        return grid_config(rows, origin, draw(heights))
+    kind = draw(st.sampled_from(["core", "step", "periodic"]))
+    if kind == "periodic":
+        return periodic_config(draw(st.lists(heights, min_size=1, max_size=7)))
+    left = draw(heights)
+    right = draw(heights) if kind == "step" else left
+    core = draw(st.lists(heights, max_size=5))
+    return line_config(core, draw(st.integers(-4, 4)), left, right)
+
+
+@st.composite
+def config_pairs(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    x = draw(configurations(dim))
+    how = draw(st.sampled_from(["independent", "shifted"]))
+    if how == "shifted":
+        k = draw(st.integers(-4, 4))
+        y = shift(x, k if dim == 1 else (k, draw(st.integers(-4, 4))))
+    else:
+        y = draw(configurations(dim))
+    return x, y
+
+
+@settings(max_examples=600, deadline=None)
+@given(config_pairs())
+def test_closed_forms_match_cylinder_definitions(pair):
+    x, y = pair
+    for a, b in (pair, (y, x)):
+        assert dist_ground(a, b) == naive_distance(a, b, ground_cylinder)
+        assert dist_top(a, b) == naive_distance(a, b, top_cylinder)
+
+
+@pytest.mark.parametrize("p,q", [(2, 3), (3, 5), (4, 7), (5, 6), (7, 9)])
+def test_closed_forms_on_coprime_periods(p, q):
+    # the scan ends at p + q + 1, short of the common period p * q; the
+    # cylinder loop has no such bound, so it checks that nothing farther
+    # could give a smaller radius
+    rand = random.Random(p * q)
+    for _ in range(200):
+        x = periodic_config([rand.choice([0, 1, 9, PLUS_INF]) for _ in range(p)])
+        y = periodic_config([rand.choice([0, 1, 9, MINUS_INF]) for _ in range(q)])
+        for a, b in ((x, y), (y, x)):
+            assert dist_ground(a, b) == naive_distance(a, b, ground_cylinder)
+            assert dist_top(a, b) == naive_distance(a, b, top_cylinder)
+
+
+def test_scan_reads_across_row_chunks():
+    # 1-d rows are read in chunks of 8, 16, ... sites on each side
+    for s in (*range(-40, 41), 4000, -4100, 9000):
+        assert distance_exponent(line_config([1], s), constant(0)) == abs(s)
+    x = line_config([1], 20, 0, 0)
+    assert dist_ground(x, constant(0)) == naive_distance(x, constant(0), ground_cylinder)
+
+
+def test_closed_form_takes_the_least_radius_over_sites():
+    # the centres 30 and 20 separate only at radius 20, the piles 5 and 9 at
+    # sites -1 and 2 at radius 5, and 30 against 0 at site 3 at radius 3
+    x, y = periodic_config([30, 0, 5]), periodic_config([20, 0, 9, 0, 9])
+    assert distance_exponent(x, y) == 3
+    assert dist_ground(x, y) == naive_distance(x, y, ground_cylinder) == Fraction(1, 8)
+
+
+def test_distance_exponent_is_none_iff_equal():
+    x = line_config([3, PLUS_INF], -1, 0, 2)
+    assert distance_exponent(x, x) is None and distance_exponent(x, x, top=True) is None
+    assert distance_exponent(constant(7), constant(7, 1)) is None
+    assert distance_exponent(constant(0), constant(5)) == 0
+    assert distance_exponent(constant(0), constant(5), top=True) == 0
+    with pytest.raises(ValueError, match="dimension"):
+        distance_exponent(constant(0), constant(0, 2))
+
+
+def test_distance_exponent_is_charged_to_the_budget(monkeypatch):
+    x, y = constant(50), constant(51)
+    assert dist_ground(x, y) == Fraction(1, 2**50)
+    monkeypatch.setenv("SANDLAB_BUDGET", "10")
+    with pytest.raises(BudgetExceeded, match="distance: 50 "):
+        dist_ground(x, y)
+    assert dist_top(x, y) == 1  # the centres differ: exponent 0
+    # with a cap nothing is charged
+    assert distance_exponent(constant(10**12), constant(10**12 + 1), cap=64) == 64
+    assert distance_exponent(line_config([1], 40), constant(0), cap=64) == 40
+
+
+def test_scan_is_charged_as_it_goes(monkeypatch):
+    # the configurations differ only far out: the walk stops once the
+    # sites it has read, (2d+1)^dim, pass the budget
+    monkeypatch.setenv("SANDLAB_BUDGET", "1000")
+    with pytest.raises(BudgetExceeded, match="distance: 1001 enumerations exceed"):
+        distance_exponent(line_config([1], 10**12), constant(0))
+    with pytest.raises(BudgetExceeded, match="distance: 1089 enumerations exceed"):
+        distance_exponent(grid_config([[1]], (10**9, 0)), constant(0, 2))
+    assert distance_exponent(line_config([1], 10**12), constant(0), cap=64) == 64
+    assert distance_exponent(line_config([1], 400), constant(0)) == 400
+
+
+def test_scan_reads_rows_in_bounded_chunks(monkeypatch):
+    # a walk out to ring 10^5 holds a few thousand sites at a time
+    monkeypatch.setenv("SANDLAB_BUDGET", "200000")
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="distance: 200001 "):
+            distance_exponent(line_config([1], 10**12), constant(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

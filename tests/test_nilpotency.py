@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from sandlab.lattice import constant, line_config, periodic_config
+from sandlab.lattice import constant, grid_config, line_config, periodic_config
 from sandlab.nilpotency import (
     SpreadingCa,
     build_reduction,
@@ -42,6 +42,23 @@ def test_flatten_not_converged_diagnostic():
     rep = detect_flatten(raise_rule(), constant(0), 5)
     # the raising orbit fixes nothing: constant but never fixed
     assert rep.outcome == "NOT_CONVERGED"
+
+
+def test_flatten_not_converged_stable_radius():
+    # the last two configurations differ first at site 3, pile 1 -> 0, where
+    # their ground cylinders separate at radius 3: radii 0..2 are stable
+    rep = detect_flatten(make_collapse(1, 1), line_config([1, 2, 3, 4, 5, 6, 7, 8, 9]), 3)
+    assert (rep.outcome, rep.stable_radius) == ("NOT_CONVERGED", 2)
+    rep = detect_flatten(raise_rule(), constant(0), 5)
+    assert rep.stable_radius == 4  # constants 5 and 6 separate at radius 5
+    rep = detect_flatten(make_collapse(1, 1), line_config([70] + [0] * 80 + [1]), 2)
+    assert rep.stable_radius == 63  # capped at 64 stable radii
+
+
+def test_flatten_not_converged_in_two_dimensions():
+    rep = detect_flatten(make_collapse(1, 2), grid_config([[3, 0], [0, 5]]), 0)
+    # the centre pile 3 -> 2 separates the ground cylinders at radius 2
+    assert (rep.outcome, rep.stable_radius) == ("NOT_CONVERGED", 1)
 
 
 def test_spreading_validation_rejects_non_spreading():
