@@ -47,7 +47,7 @@ from .nilpotency import (
     make_collapse,
     xi_encode,
 )
-from .dsl import RuleProgram, collapse_program, parse_rule, serialize_rule
+from .dsl import RuleProgram, parse_rule, serialize_rule
 from .files import parse_ca, parse_config, serialize_ca, serialize_config
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -234,9 +234,8 @@ def extract_sa_rule(g: CaRule) -> SaRule:
     def fn(rng: Range) -> int:
         x = line_config(realize_range(rng), -r_ext)  # center pile at 0, height 0
         cols = _encode_grid(x, (-rho, rho), (-span, span))
-        out, out_h = extend_columns(g, cols, 2 * span + 1)
-        column = ((out[0] >> v) & 1 for v in range(out_h))
-        delta = zeta_decode_column(column, -rho - 1, rho + 1)
+        out, _ = extend_columns(g, cols, 2 * span + 1)
+        delta = zeta_decode_column(out[0], -rho - 1, rho + 1)
         if delta is UNDETERMINED:
             raise ValueError("CA moved the pile top out of view; not a sand automaton")
         if not -r_ext <= delta <= r_ext:

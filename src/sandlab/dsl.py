@@ -9,8 +9,10 @@
 Conditions are ||/&&/! expressions over atoms ``R[o] CMP value`` where the
 value is an integer or +inf/-inf.  Parse and semantic errors carry a
 1-based line and column.  ``RuleProgram.to_rule`` compiles a program into
-a memoized ``FuncRule``; the library's own programs (collapse here, the
-spreading-CA reduction in ``nilpotency``) are built from these nodes.
+a memoized ``FuncRule``; the library's own program, the spreading-CA
+reduction in ``nilpotency``, is built from these nodes.  The collapse
+rules are plain functions (``nilpotency.make_collapse``); their text form
+is one ``case`` of ``R[o] < 0`` atoms.
 """
 
 from __future__ import annotations
@@ -309,13 +311,7 @@ def serialize_rule(prog: RuleProgram) -> str:
     return "\n".join(lines) + "\n"
 
 
-# --- canonical programs -----------------------------------------------------
-
-
-def collapse_program(radius: int = 1, dim: int = 1) -> RuleProgram:
-    atoms = tuple(Atom(o, "<", 0) for o in range_offsets(dim, radius))
-    cond = atoms[0] if len(atoms) == 1 else Or(atoms)
-    return RuleProgram(dim, radius, ((cond, -1),), 0)
+# --- programs from rules ----------------------------------------------------
 
 
 def program_from_table_rule(rule) -> RuleProgram:

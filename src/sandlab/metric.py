@@ -9,7 +9,9 @@ then k are charged to ``SANDLAB_BUDGET`` before 2^-k is built.
 reference the closed form is tested against.  The binary encoding maps a
 1-d pile configuration to a 2-d {0,1} picture whose columns are filled up
 to the pile height; its image is exactly the set of pictures with no hole
-(a 0 with a 1 directly above it).
+(a 0 with a 1 directly above it).  ``zeta_window`` gives each column as
+its top count and ``zeta_decode_column`` reads one back from a bitmask,
+the form the bridge's CA steps columns in.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from math import isqrt
 
 from .budget import enumeration_budget, require_budget
 from .heights import Height, MINUS_INF, PLUS_INF, is_finite
-from .lattice import Configuration, Kind, height_at, read_row
+from .lattice import Configuration, height_at, read_row
 
 
 def beta(r: int, m: Height, n: Height) -> Height:
@@ -33,12 +35,6 @@ def beta(r: int, m: Height, n: Height) -> Height:
     if n < m - r:
         return MINUS_INF
     return n - m
-
-
-def _offsets(dim: int, r: int):
-    if dim == 1:
-        return [(o,) for o in range(-r, r + 1)]
-    return list(product(range(-r, r + 1), repeat=dim))
 
 
 @dataclass(frozen=True)
@@ -61,7 +57,7 @@ def top_cylinder(x: Configuration, i, r: int) -> TopCylinder:
     center = height_at(x, i if x.dim > 1 else i[0])
     ref = center if is_finite(center) else 0
     entries = []
-    for off in _offsets(x.dim, r):
+    for off in product(range(-r, r + 1), repeat=x.dim):
         if all(o == 0 for o in off):
             entries.append(center)
         else:
@@ -74,7 +70,7 @@ def ground_cylinder(x: Configuration, i, r: int) -> GroundCylinder:
     if x.dim == 1 and isinstance(i, int):
         i = (i,)
     entries = []
-    for off in _offsets(x.dim, r):
+    for off in product(range(-r, r + 1), repeat=x.dim):
         j = tuple(a + b for a, b in zip(i, off))
         entries.append(beta(r, 0, height_at(x, j if x.dim > 1 else j[0])))
     return GroundCylinder(x.dim, r, tuple(entries))
@@ -214,26 +210,9 @@ class StaircasePattern:
         if any(not 0 <= t <= self.height for t in self.tops):
             raise ValueError("top counts must lie in [0, height]")
 
-    def bit(self, col: int, row: int) -> int:
-        """Cell at 1-based (column, row-from-bottom)."""
-        if not (1 <= col <= self.width and 1 <= row <= self.height):
-            raise IndexError("outside window")
-        return 1 if row <= self.tops[col - 1] else 0
-
 
 class HolePresent(ValueError):
     """A 0 with a 1 directly above it: not in the encoding's image."""
-
-
-def column_is_monotone(bits) -> bool:
-    """True when the column (bottom-to-top) has all its ones below its zeros."""
-    seen_zero = False
-    for b in bits:
-        if b == 0:
-            seen_zero = True
-        elif seen_zero:
-            return False
-    return True
 
 
 def zeta_window(x: Configuration, horiz, vert) -> StaircasePattern:
@@ -258,29 +237,22 @@ def zeta_window(x: Configuration, horiz, vert) -> StaircasePattern:
 UNDETERMINED = object()
 
 
-def zeta_decode_column(
-    bits,
-    k_lo: int,
-    k_hi: int,
-    *,
-    saturated_above: bool = False,
-    saturated_below: bool = False,
-):
+def zeta_decode_column(mask: int, k_lo: int, k_hi: int):
     """Recover a pile height from one encoded column over [k_lo, k_hi].
 
-    The height is the topmost 1; it is only determined when it lies strictly
-    inside the window, unless the boundary flags assert that the column is
-    saturated beyond it (then the matching infinity is returned).
+    Bit v of ``mask`` is the cell at height k_lo + v, the column form of
+    ``extend_columns`` (a top t encodes as ``(1 << t) - 1``).  The column
+    has a hole iff ``mask & (mask + 1)``; otherwise the height is its
+    topmost 1, at k_lo + ``mask.bit_length()`` - 1.  That height is only
+    determined strictly inside the window: an empty or a full column is
+    UNDETERMINED.
     """
-    bits = tuple(bits)
-    if len(bits) != k_hi - k_lo + 1:
+    n = k_hi - k_lo + 1
+    if mask >> n:
         raise ValueError("column length does not match the interval")
-    if not column_is_monotone(bits):
+    if mask & (mask + 1):
         raise HolePresent("column has a 0 below a 1")
-    ones = sum(bits)
-    if ones == len(bits):
-        return PLUS_INF if saturated_above else UNDETERMINED
-    if ones == 0:
-        return MINUS_INF if saturated_below else UNDETERMINED
-    return k_lo + ones - 1
-
+    t = mask.bit_length()
+    if t == 0 or t == n:
+        return UNDETERMINED
+    return k_lo + t - 1

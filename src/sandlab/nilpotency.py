@@ -213,7 +213,9 @@ def detect_flatten(f: SaRule, x: Configuration, budget: int) -> FlattenReport:
     """Semi-decide flattening: fixation at a constant within the budget.
 
     Bounded inputs only; convergence-without-fixation shows up as
-    NOT_CONVERGED with the stabilized-window radius as a diagnostic.
+    NOT_CONVERGED with the stabilized-window radius as a diagnostic.  A
+    non-constant fixed point never flattens, so it ends the orbit at once
+    with the report the whole budget would reach.
     """
     if not x.is_bounded():
         raise ValueError("flattening is defined on bounded configurations")
@@ -230,6 +232,8 @@ def detect_flatten(f: SaRule, x: Configuration, budget: int) -> FlattenReport:
             )
         prev = cur
         cur = step(f, cur)
+        if cur == prev:  # a constant here already returned CONVERGED
+            break
     # the last two configurations share every ground cylinder below radius k
     k = distance_exponent(cur, prev, cap=64)
     w = 64 if k is None else k

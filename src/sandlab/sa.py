@@ -269,7 +269,6 @@ def step(f: SaRule, x: Configuration) -> Configuration:
 class OrbitRecord:
     step: int
     config: Configuration
-    drift: int = 0
 
 
 def orbit(f: SaRule, x: Configuration, n_steps: int) -> list[OrbitRecord]:
@@ -354,56 +353,3 @@ def iterate_local_rule(f: SaRule, n: int) -> SaRule:
         return out[len(out) // 2]
 
     return FuncRule(1, R, fn, f"{f.name}^{n}", memoize=True)
-
-
-@dataclass
-class CharacterizationReport:
-    ok: bool
-    checked: int
-    failure: str | None = None
-    witness: object = None
-
-
-def check_characterization(f: SaRule, samples: int, seed: int = 0, modulus_w: int = 2) -> CharacterizationReport:
-    """Property harness for the defining invariants of a sand automaton.
-
-    Verifies shift commutation, vertical commutation, infinity preservation
-    and the uniform-continuity modulus on sampled configurations.  A failure
-    indicates an implementation bug, not a property of the rule.
-    """
-    import random
-
-    from .metric import ground_cylinder
-    from .sampling import random_configuration
-
-    rand = random.Random(seed)
-    r, w = f.radius, modulus_w
-    from .lattice import raise_by, shift
-
-    for t in range(samples):
-        x = random_configuration(rand, dim=f.dim)
-        k = rand.randint(-3, 3)
-        kk = k if f.dim == 1 else (k, rand.randint(-3, 3))
-        if step(f, shift(x, kk)) != shift(step(f, x), kk):
-            return CharacterizationReport(False, t, "shift-commutation", x)
-        m = rand.randint(-4, 4)
-        if step(f, raise_by(x, m)) != raise_by(step(f, x), m):
-            return CharacterizationReport(False, t, "vertical-commutation", x)
-        fx = step(f, x)
-        zero = 0 if f.dim == 1 else (0, 0)
-        for probe in range(-2, 3):
-            i = probe if f.dim == 1 else (probe, 0)
-            a, b = height_at(x, i), height_at(fx, i)
-            if (a == PLUS_INF) != (b == PLUS_INF) or (a == MINUS_INF) != (b == MINUS_INF):
-                return CharacterizationReport(False, t, "infinity-preservation", x)
-        if f.dim == 1:
-            # agree with x on [-(r+w), r+w], arbitrary elsewhere
-            far = r + w + 1 + rand.randint(0, 2)
-            core = read_row(x, -far, far)
-            core[0] = rand.choice([MINUS_INF, PLUS_INF, core[0] if is_finite(core[0]) else 0, 17])
-            core[-1] = rand.choice([MINUS_INF, PLUS_INF, -9, 3])
-            y = line_config(core, -far, rand.randint(-3, 3), rand.randint(-3, 3))
-            if ground_cylinder(x, 0, r + w) == ground_cylinder(y, 0, r + w):
-                if ground_cylinder(step(f, x), 0, w) != ground_cylinder(step(f, y), 0, w):
-                    return CharacterizationReport(False, t, "uniform-continuity-modulus", (x, y))
-    return CharacterizationReport(True, samples)

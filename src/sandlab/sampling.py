@@ -1,7 +1,8 @@
-"""Deterministic random generators for configurations and rules.
+"""Deterministic random configurations.
 
-Shared by the property harnesses and the test suite; everything is driven
-by an explicit ``random.Random`` so runs are reproducible.
+``check_conjugacy`` and the period search's refutation samples draw from
+them, as do the tests; everything is driven by an explicit
+``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ import random
 
 from .heights import MINUS_INF, PLUS_INF
 from .lattice import Configuration, grid_config, line_config, periodic_config
-from .sa import SaRule, dense_rule
 
 
 def random_height(rand: random.Random, hmax: int = 5, p_inf: float = 0.08):
@@ -54,24 +54,3 @@ def random_configuration(rand: random.Random, dim: int = 1, bounded: bool = Fals
     if not bounded and rand.random() < 0.25:
         return random_periodic_config(rand)
     return random_line_config(rand, p_inf=p_inf)
-
-
-def random_bounded_line(
-    rand: random.Random, max_width: int = 16, hmax: int = 8
-) -> Configuration:
-    """A bounded configuration whose background is its minimum height."""
-    width = rand.randint(1, max_width)
-    core = [rand.randint(-hmax, hmax) for _ in range(width)]
-    bg = min(core)
-    return line_config(core, rand.randint(-4, 4), bg, bg)
-
-
-def random_table_rule(rand: random.Random, radius: int = 1, dim: int = 1) -> SaRule:
-    n = (2 * radius + 3) ** ((2 * radius + 1) ** dim - 1)
-    table = tuple(rand.randint(-radius, radius) for _ in range(n))
-    return dense_rule(dim, radius, table, name=f"RANDOM-{rand.randint(0, 10**6)}")
-
-
-def sample_table_rules(count: int, radius: int = 1, dim: int = 1, seed: int = 0) -> list[SaRule]:
-    rand = random.Random(seed)
-    return [random_table_rule(rand, radius, dim) for _ in range(count)]

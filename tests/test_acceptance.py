@@ -42,11 +42,9 @@ from sandlab.sa import (
     raise_rule,
     step,
 )
-from sandlab.sampling import (
-    random_bounded_line,
-    random_configuration,
-    sample_table_rules,
-)
+from sandlab.sampling import random_configuration
+
+from samplers import random_bounded_line, sample_table_rules
 
 
 def report(capsys, n, label, ok, elapsed, budget):

@@ -16,10 +16,11 @@ from sandlab.bridge import (
 from sandlab.ca import CaRule, flat_from_masks, neighborhood_index, table_rule
 from sandlab.dsl import parse_rule
 from sandlab.lattice import line_config, periodic_config
-from sandlab.metric import StaircasePattern, beta, column_is_monotone
+from sandlab.metric import StaircasePattern, beta
 from sandlab.nilpotency import make_collapse
 from sandlab.sa import Range, apply_local, dense_rule, identity_rule, raise_rule, step
-from sandlab.sampling import sample_table_rules
+
+from samplers import column_is_monotone, sample_table_rules
 
 
 def test_bridge_dimensions():

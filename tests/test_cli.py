@@ -201,6 +201,17 @@ def test_flatten_exit_codes(data_dir, capsys):
         "--budget", "5",
     )
     assert code == 1
+    # a non-constant fixed point answers at once, whatever the budget
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys,
+        "flatten",
+        "--rule", str(data_dir / "identity.rule"),
+        "--config", str(data_dir / "pile2.cfg"),
+        "--budget", "1000000000",
+    )
+    assert time.perf_counter() - start < 0.5
+    assert code == 1 and out.strip() == "NOT_CONVERGED"
 
 
 def test_period_search_exit_codes(data_dir, capsys):

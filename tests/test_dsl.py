@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 
 from sandlab.dsl import (
     RuleParseError,
-    collapse_program,
     parse_rule,
     program_from_table_rule,
     serialize_rule,
@@ -13,6 +12,8 @@ from sandlab.dsl import (
 from sandlab.heights import MINUS_INF, PLUS_INF
 from sandlab.nilpotency import build_reduction, make_collapse, min_ca, reduction_program
 from sandlab.sa import Range, all_ranges
+
+from samplers import sample_table_rules
 
 
 COLLAPSE_TEXT = """sarule v1
@@ -23,11 +24,20 @@ default => 0
 """
 
 
-def test_parse_collapse_matches_builtin():
-    f = parse_rule(COLLAPSE_TEXT).to_rule()
-    g = make_collapse(1, 1)
-    for rng in all_ranges(1, 1):
-        assert f.apply(rng) == g.apply(rng)
+def test_parse_collapse_matches_builtin(data_dir):
+    # every 1-d range, and 2000 sampled 2-d ones
+    rand = random.Random(1)
+    vals = [MINUS_INF, -1, 0, 1, PLUS_INF]
+    sampled_2d = [Range(2, 1, tuple(rand.choice(vals) for _ in range(8))) for _ in range(2000)]
+    for name, r, d, ranges in [
+        ("collapse1", 1, 1, all_ranges(1, 1)),
+        ("collapse2", 2, 1, all_ranges(1, 2)),
+        ("collapse2d", 1, 2, sampled_2d),
+    ]:
+        f = parse_rule((data_dir / f"{name}.rule").read_text()).to_rule()
+        g = make_collapse(r, d)
+        for rng in ranges:
+            assert f.apply(rng) == g.apply(rng), (name, rng)
 
 
 def test_serialize_round_trip_bytes():
@@ -128,20 +138,7 @@ def test_parser_total_on_arbitrary_text(text):
         pass
 
 
-def test_collapse_program_generator():
-    prog = collapse_program(2, 1)
-    f = prog.to_rule()
-    g = make_collapse(2, 1)
-    rand = random.Random(1)
-    vals = [MINUS_INF, PLUS_INF, -2, -1, 0, 1, 2]
-    for _ in range(200):
-        rng = Range(1, 2, tuple(rand.choice(vals) for _ in range(4)))
-        assert f.apply(rng) == g.apply(rng)
-
-
 def test_program_from_table_rule():
-    from sandlab.sampling import sample_table_rules
-
     (t,) = sample_table_rules(1, seed=8)
     prog = program_from_table_rule(t)
     f = prog.to_rule()

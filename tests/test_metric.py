@@ -19,7 +19,6 @@ from sandlab.metric import (
     HolePresent,
     UNDETERMINED,
     beta,
-    column_is_monotone,
     dist_ground,
     dist_top,
     distance_exponent,
@@ -133,7 +132,6 @@ def test_zeta_window_values():
     x = line_config([2], 0, 0, 0)
     st_ = zeta_window(x, (-1, 1), (0, 3))
     assert st_.tops == (1, 3, 1)
-    assert st_.bit(2, 3) == 1 and st_.bit(2, 4) == 0
 
 
 def test_zeta_window_saturation():
@@ -164,26 +162,24 @@ def test_zeta_window_rejects_empty_intervals(horiz, vert):
         zeta_window(line_config([2]), horiz, vert)
 
 
-def test_column_monotone_and_holes():
-    assert column_is_monotone([1, 1, 0, 0])
-    assert not column_is_monotone([1, 0, 1])
-
-
 def test_zeta_decode_column():
-    assert zeta_decode_column([1, 1, 0], 4, 6) == 5
-    assert zeta_decode_column([1, 1, 1], 4, 6) is UNDETERMINED
-    assert zeta_decode_column([1, 1, 1], 4, 6, saturated_above=True) == PLUS_INF
-    assert zeta_decode_column([0, 0, 0], 4, 6, saturated_below=True) == MINUS_INF
-    with pytest.raises(HolePresent):
-        zeta_decode_column([0, 1, 0], 4, 6)
+    # masks over [4, 6], bit v at height 4 + v
+    assert zeta_decode_column(0b011, 4, 6) == 5
+    assert zeta_decode_column(0b001, 4, 6) == 4
+    assert zeta_decode_column(0b000, 4, 6) is UNDETERMINED
+    assert zeta_decode_column(0b111, 4, 6) is UNDETERMINED
+    for holed in (0b101, 0b010):  # a 0 below a 1
+        with pytest.raises(HolePresent):
+            zeta_decode_column(holed, 4, 6)
+    with pytest.raises(ValueError, match="length"):
+        zeta_decode_column(0b1011, 4, 6)
 
 
 def test_encode_decode_round_trip():
     x = line_config([3, -1, 0, 5], -2, 0, 0)
     st_ = zeta_window(x, (-3, 3), (-7, 7))
     for c, i in enumerate(range(-3, 4)):
-        col = [st_.bit(c + 1, v) for v in range(1, st_.height + 1)]
-        assert zeta_decode_column(col, -7, 7) == (
+        assert zeta_decode_column((1 << st_.tops[c]) - 1, -7, 7) == (
             x.core[i + 2] if -2 <= i <= 1 else 0
         )
 

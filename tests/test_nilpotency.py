@@ -18,7 +18,8 @@ from sandlab.nilpotency import (
     xi_encode_line,
 )
 from sandlab.sa import identity_rule, raise_rule, step
-from sandlab.sampling import random_bounded_line
+
+from samplers import random_bounded_line
 
 
 def test_collapse_reaches_minimum():
@@ -102,6 +103,22 @@ def test_reduction_flattens_invalid_configurations():
         x = random_bounded_line(rand, max_width=8, hmax=4)
         rep = detect_flatten(F, x, 10**4)
         assert rep.outcome == "CONVERGED", (x, rep)
+
+
+@pytest.mark.parametrize("budget", [10, 1000])
+def test_flatten_stops_at_a_non_constant_fixed_point(budget):
+    from sandlab.dsl import parse_rule
+    from sandlab.nilpotency import FlattenReport
+
+    peaks = parse_rule("sarule v1\ndim 1\nradius 1\ncase R[-1] < 0 && R[1] < 0 => -1\ndefault => 0\n")
+    cases = [
+        (identity_rule(), line_config([2, 0, 3])),
+        (identity_rule(1, 2), grid_config([[1, 0], [0, 2]], (0, 0), 0)),
+        (peaks.to_rule(), line_config([3, 3, 0, 5])),  # fixed from step 5 on
+    ]
+    for f, x in cases:
+        rep = detect_flatten(f, x, budget)
+        assert rep == FlattenReport("NOT_CONVERGED", budget=budget, stable_radius=63), (f.name, rep)
 
 
 def test_min_reduction_fixed_point():

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
-from sandlab.heights import MINUS_INF, PLUS_INF
-from sandlab.lattice import height_at, line_config, periodic_config
+from sandlab.heights import MINUS_INF, PLUS_INF, is_finite
+from sandlab.lattice import height_at, line_config, periodic_config, raise_by, read_row, shift
+from sandlab.metric import ground_cylinder
 from sandlab.nilpotency import make_collapse
 from sandlab.sa import (
     CenterInfiniteError,
     all_ranges,
-    check_characterization,
     dense_rule,
     flat_range,
     identity_rule,
@@ -21,7 +21,9 @@ from sandlab.sa import (
     realize_range,
     step,
 )
-from sandlab.sampling import random_configuration, sample_table_rules
+from sandlab.sampling import random_configuration
+
+from samplers import random_table_rule, sample_table_rules
 
 
 def test_range_index_round_trip():
@@ -152,9 +154,35 @@ def test_iterate_local_rule_two_steps():
 
 
 def test_characterization_invariants_hold():
+    """Shift and vertical commutation, infinity preservation and the
+    uniform-continuity modulus w = 2 on sampled configurations."""
+    w = 2
     for f in [make_collapse(1, 1), raise_rule(), identity_rule()] + sample_table_rules(3, seed=4):
-        rep = check_characterization(f, samples=25, seed=5)
-        assert rep.ok, (f.name, rep.failure, rep.witness)
+        rand = random.Random(5)
+        r = f.radius
+        for _ in range(25):
+            x = random_configuration(rand, dim=f.dim)
+            fx = step(f, x)
+            k = rand.randint(-3, 3)
+            kk = k if f.dim == 1 else (k, rand.randint(-3, 3))
+            assert step(f, shift(x, kk)) == shift(fx, kk), (f.name, "shift", x)
+            m = rand.randint(-4, 4)
+            assert step(f, raise_by(x, m)) == raise_by(fx, m), (f.name, "vertical", x)
+            for probe in range(-2, 3):
+                i = probe if f.dim == 1 else (probe, 0)
+                a, b = height_at(x, i), height_at(fx, i)
+                assert (a == PLUS_INF) == (b == PLUS_INF), (f.name, "infinity", x)
+                assert (a == MINUS_INF) == (b == MINUS_INF), (f.name, "infinity", x)
+            if f.dim == 1:
+                # agree with x on [-(r+w), r+w], arbitrary elsewhere
+                far = r + w + 1 + rand.randint(0, 2)
+                core = read_row(x, -far, far)
+                core[0] = rand.choice([MINUS_INF, PLUS_INF, core[0] if is_finite(core[0]) else 0, 17])
+                core[-1] = rand.choice([MINUS_INF, PLUS_INF, -9, 3])
+                y = line_config(core, -far, rand.randint(-3, 3), rand.randint(-3, 3))
+                if ground_cylinder(x, 0, r + w) == ground_cylinder(y, 0, r + w):
+                    got = ground_cylinder(step(f, y), 0, w)
+                    assert got == ground_cylinder(fx, 0, w), (f.name, "modulus", x, y)
 
 
 def test_rule_output_out_of_range_is_caught():
@@ -170,7 +198,7 @@ def test_rule_output_out_of_range_is_caught():
 
 def naive_step(f, x):
     """Every pile recomputed on its own through ``range_at``."""
-    from sandlab.heights import add, is_finite
+    from sandlab.heights import add
     from sandlab.lattice import Kind, grid_config
     from sandlab.sa import apply_local
 
@@ -239,7 +267,6 @@ def _guarded_rule(dim, r):
 
 def _kernel_rules(dim, r):
     from sandlab.sa import FuncRule
-    from sandlab.sampling import random_table_rule
 
     rand = random.Random(10 * dim + r)
     unmemoized = FuncRule(dim, r, make_collapse(r, dim).fn, "COLLAPSE-NOMEMO", memoize=False)
@@ -263,7 +290,6 @@ def test_step_matches_naive_reference(shape, r):
 
 def test_step_matches_naive_reference_on_a_2d_table_rule():
     from sandlab.lattice import grid_config
-    from sandlab.sampling import random_table_rule
 
     rand = random.Random(7)
     f = random_table_rule(rand, 1, 2)
@@ -351,11 +377,10 @@ def test_step_evaluates_the_rule_at_finite_piles_only():
         assert len(seen) == finite
 
 
-def test_library_rules_evaluate_each_range_once():
-    from sandlab.dsl import collapse_program
+def test_library_rules_evaluate_each_range_once(data_dir):
+    from sandlab.dsl import parse_rule
     from sandlab.lattice import grid_config
     from sandlab.nilpotency import build_reduction, min_ca
-    from sandlab.sampling import random_table_rule
 
     rand = random.Random(3)
     rules = [
@@ -368,7 +393,7 @@ def test_library_rules_evaluate_each_range_once():
         random_table_rule(rand, 1, 1),
         random_table_rule(rand, 1, 2),
         build_reduction(min_ca()),
-        collapse_program(1, 1).to_rule(),
+        parse_rule((data_dir / "collapse1.rule").read_text()).to_rule(),
         iterate_local_rule(make_collapse(1, 1), 2),
     ]
     for f in rules:
