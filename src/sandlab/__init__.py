@@ -28,7 +28,6 @@ from .metric import (
 from .sa import (
     FuncRule,
     Range,
-    SaRule,
     dense_rule,
     identity_rule,
     iterate_local_rule,
@@ -38,7 +37,7 @@ from .sa import (
     step,
 )
 from .ca import CaRule, table_rule
-from .bridge import build_ca_from_sa, check_conjugacy, decide_sa, extract_sa_rule
+from .bridge import build_ca_from_sa, decide_sa, extract_sa_rule
 from .nilpotency import (
     SpreadingCa,
     build_reduction,

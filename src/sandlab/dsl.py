@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 
 from .heights import Height, format_height, parse_height
-from .sa import FuncRule, Range, SaRule, range_offsets
+from .sa import FuncRule, Range, range_offsets
 
 
 class RuleParseError(ValueError):
@@ -94,7 +94,7 @@ class RuleProgram:
                 return out
         return self.default
 
-    def to_rule(self, name: str | None = None) -> SaRule:
+    def to_rule(self, name: str | None = None) -> FuncRule:
         return FuncRule(
             self.dim, self.radius, self.evaluate, name or "PROGRAM", memoize=True
         )

@@ -8,6 +8,11 @@ follow the CA rule, and everything else collapses towards the lowest pile.
 ``sandlab reduce-ca`` prints), and ``build_reduction`` is that program's
 compiled form.  The commutation with the marker encoding is the
 construction's correctness criterion and is pinned by tests.
+
+``find_ultimate_period`` checks a pair (n, p) with n + p <= 2 on every
+clamped neighborhood: ``oracle_step_window`` runs n steps and then p more,
+and the two centers give the drift.  The neighborhood count is built only
+at widths where it can fit ``SANDLAB_BUDGET``.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ from .lattice import (
     raise_by,
 )
 from .metric import distance_exponent
-from .sa import FuncRule, Range, SaRule, oracle_step_window, range_offsets, step
+from .sa import FuncRule, Range, oracle_step_window, range_offsets, step
 
 
-def make_collapse(r: int = 1, d: int = 1) -> SaRule:
+def make_collapse(r: int = 1, d: int = 1) -> FuncRule:
     """Lower any pile that can see a strictly lower one; radius-1 version
     is the classic collapsing automaton."""
     if r < 1:
@@ -188,7 +193,7 @@ def reduction_program(S: SpreadingCa) -> RuleProgram:
     return RuleProgram(1, r, tuple(cases), 0)
 
 
-def build_reduction(S: SpreadingCa) -> SaRule:
+def build_reduction(S: SpreadingCa) -> FuncRule:
     """The sand rule simulating a spreading CA on marker encodings."""
     return reduction_program(S).to_rule(f"REDUCTION({S.name})")
 
@@ -209,7 +214,7 @@ class FlattenReport:
 _DIVERGE_LIMIT = 10**9
 
 
-def detect_flatten(f: SaRule, x: Configuration, budget: int) -> FlattenReport:
+def detect_flatten(f: FuncRule, x: Configuration, budget: int) -> FlattenReport:
     """Semi-decide flattening: fixation at a constant within the budget.
 
     Bounded inputs only; convergence-without-fixation shows up as
@@ -263,21 +268,7 @@ def drift_between(x: Configuration, y: Configuration) -> int | None:
     return None
 
 
-def _deltas_on_array(f: SaRule, arr, a: int, b: int) -> tuple[int, int]:
-    """Center variations after a and b steps on an explicit height array."""
-    center = len(arr) // 2
-    cur = list(arr)
-    da = 0
-    r = f.radius
-    for m in range(1, b + 1):
-        cur = list(oracle_step_window(f, cur, 1))
-        center -= r
-        if m == a:
-            da = cur[center]
-    return da, cur[center]
-
-
-def _refutation_samples(f: SaRule, max_sum: int, budget: int, seed: int):
+def _refutation_samples(f: FuncRule, max_sum: int, budget: int, seed: int):
     import random
 
     from .sampling import random_configuration
@@ -291,7 +282,7 @@ def _refutation_samples(f: SaRule, max_sum: int, budget: int, seed: int):
         yield random_configuration(rand, dim=1, bounded=True)
 
 
-def _refute_pair(f: SaRule, n: int, p: int, samples) -> Configuration | None:
+def _refute_pair(f: FuncRule, n: int, p: int, samples) -> Configuration | None:
     for x in samples:
         cur = x
         for _ in range(n):
@@ -304,7 +295,7 @@ def _refute_pair(f: SaRule, n: int, p: int, samples) -> Configuration | None:
     return None
 
 
-def find_ultimate_period(f: SaRule, max_sum: int, sample_budget: int = 50, seed: int = 0) -> PeriodReport:
+def find_ultimate_period(f: FuncRule, max_sum: int, sample_budget: int = 50, seed: int = 0) -> PeriodReport:
     """Search for F^{n+p} = rho^v . F^n.
 
     Pairs with n+p <= 2 are compared exhaustively over the finite set of
@@ -321,6 +312,7 @@ def find_ultimate_period(f: SaRule, max_sum: int, sample_budget: int = 50, seed:
     )
     refuted_witness = None
     refuted_pair = None
+    limit = enumeration_budget()
     for n, p in pairs:
         m = n + p
         # exhaustive check: the center's m-step delta only sees cells within
@@ -328,16 +320,18 @@ def find_ultimate_period(f: SaRule, max_sum: int, sample_budget: int = 50, seed:
         # deeper cells cannot influence the center within m steps
         R = (3 * m - 2) * r
         width = 2 * m * r  # cells besides the center (fixed at 0)
-        count = (2 * R + 3) ** width
-        if m <= min(max_sum, 2) and count <= enumeration_budget():
+        # a base of at least 3 passes the budget from limit.bit_length()
+        # cells on, so the count is built only below that width
+        if m <= min(max_sum, 2) and width < limit.bit_length() and (2 * R + 3) ** width <= limit:
             vals = range(-(R + 1), R + 2)
             v = None
             ref_arr = None
             witness_arr = None
             for combo in product(vals, repeat=width):
                 arr = combo[: width // 2] + (0,) + combo[width // 2 :]
-                da, db = _deltas_on_array(f, arr, n, m)
-                diff = db - da
+                xa = oracle_step_window(f, arr, n)
+                xb = oracle_step_window(f, xa, p)
+                diff = xb[len(xb) // 2] - xa[len(xa) // 2]
                 if v is None:
                     v = diff
                     ref_arr = arr

@@ -3,7 +3,9 @@
 A local rule maps the saturated relative-height neighborhood seen from the
 top of a pile (its range) to a variation in [-r, r].  Every rule is a
 ``FuncRule``: a function of the range, memoized by its entries tuple unless
-built with ``memoize=False``.  A dense table is one more function
+built with ``memoize=False``.  ``FuncRule.apply`` is the one place the
+function runs, and it checks each output against [-r, r] before the value
+enters the memo.  A dense table is one more function
 (``dense_rule`` reads ``table[range_index(rng)]``).  The global step acts
 exactly on the finite configuration descriptions: infinite piles are fixed,
 backgrounds move by the flat-range variation, and the core is recomputed
@@ -15,7 +17,8 @@ row-major buffer: the core with 2r background piles on every side, or one
 period widened by r piles each way.  In dimension 1 that buffer is one
 ``lattice.read_row``.  The kernel turns the range offsets into buffer
 deltas once per call, saturates each pile's entries inline and looks the
-entries tuple up in the rule's memo, building a ``Range`` only on a miss.
+entries tuple up in the rule's memo, building a ``Range`` only on a miss;
+the memo holds checked values only, so a hit is used as it is.
 The work of one step (piles times range size) is charged to
 ``SANDLAB_BUDGET`` before anything is built.  ``oracle_step_window`` and
 ``range_at`` stay naive per-pile references, and the kernel is tested
@@ -81,20 +84,6 @@ def flat_range(dim: int, r: int) -> Range:
     return Range(dim, r, (0,) * ((2 * r + 1) ** dim - 1))
 
 
-class SaRule:
-    """Base class: a total local rule from ranges to variations."""
-
-    dim: int
-    radius: int
-    name: str
-
-    def apply(self, rng: Range) -> int:
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"<SaRule {self.name} dim={self.dim} r={self.radius}>"
-
-
 def table_digit(r: int, v: Height) -> int:
     """Entry value -> digit: -inf, -r..r, +inf map to 0..2r+2."""
     if v == MINUS_INF:
@@ -121,7 +110,15 @@ def all_ranges(dim: int, r: int):
         yield Range(dim, r, entries)
 
 
-class FuncRule(SaRule):
+class FuncRule:
+    """A local rule: ``fn`` maps a range to a variation in [-r, r].
+
+    ``apply`` is the only place ``fn`` runs.  Its output is checked against
+    [-r, r] before it enters the memo, so the memo holds checked values
+    only and a hit needs no check; a rule without a memo is checked on
+    every call.
+    """
+
     def __init__(self, dim: int, radius: int, fn, name: str, memoize: bool = False):
         self.dim, self.radius, self.fn, self.name = dim, radius, fn, name
         self._memo: dict | None = {} if memoize else None
@@ -129,16 +126,23 @@ class FuncRule(SaRule):
     def apply(self, rng: Range) -> int:
         if rng.dim != self.dim or rng.radius != self.radius:
             raise ValueError("range does not match rule signature")
-        if self._memo is None:
-            return self.fn(rng)
-        v = self._memo.get(rng.entries)
-        if v is None:
-            v = self.fn(rng)
-            self._memo[rng.entries] = v
+        memo = self._memo
+        if memo is not None:
+            v = memo.get(rng.entries)
+            if v is not None:
+                return v
+        v = self.fn(rng)
+        if not -self.radius <= v <= self.radius:
+            raise ValueError(f"rule {self.name} returned {v} outside [-r, r]")
+        if memo is not None:
+            memo[rng.entries] = v
         return v
 
+    def __repr__(self):
+        return f"<FuncRule {self.name} dim={self.dim} r={self.radius}>"
 
-def dense_rule(dim: int, radius: int, table, name: str = "TABLE") -> SaRule:
+
+def dense_rule(dim: int, radius: int, table, name: str = "TABLE") -> FuncRule:
     """The rule whose output at a range is ``table[range_index(rng)]``."""
     n = (2 * radius + 3) ** ((2 * radius + 1) ** dim - 1)
     table = tuple(table)
@@ -149,11 +153,11 @@ def dense_rule(dim: int, radius: int, table, name: str = "TABLE") -> SaRule:
     return FuncRule(dim, radius, lambda rng: table[range_index(rng)], name, memoize=True)
 
 
-def identity_rule(radius: int = 1, dim: int = 1) -> SaRule:
+def identity_rule(radius: int = 1, dim: int = 1) -> FuncRule:
     return FuncRule(dim, radius, lambda rng: 0, "IDENTITY", memoize=True)
 
 
-def raise_rule(radius: int = 1, dim: int = 1) -> SaRule:
+def raise_rule(radius: int = 1, dim: int = 1) -> FuncRule:
     """The raising map: every pile gains one grain per step."""
     return FuncRule(dim, radius, lambda rng: 1, "RAISE", memoize=True)
 
@@ -176,27 +180,21 @@ def range_at(x: Configuration, i, r: int) -> Range:
     return Range(x.dim, r, tuple(entries))
 
 
-def apply_local(f: SaRule, rng: Range) -> int:
-    v = f.apply(rng)
-    if not -f.radius <= v <= f.radius:
-        raise ValueError(f"rule {f.name} returned {v} outside [-r, r]")
-    return v
-
-
-def _bg_delta(f: SaRule, bg: Height) -> int:
+def _bg_delta(f: FuncRule, bg: Height) -> int:
     if not is_finite(bg):
         return 0
-    return apply_local(f, flat_range(f.dim, f.radius))
+    return f.apply(flat_range(f.dim, f.radius))
 
 
-def _update(f: SaRule, buf: list, strides: tuple, positions) -> list:
+def _update(f: FuncRule, buf: list, strides: tuple, positions) -> list:
     """The stepping kernel: new heights at ``positions`` of a padded buffer.
 
     ``buf`` holds the piles in row-major order with ``strides`` per axis and
     at least r piles of padding around every position.  Entries are
     saturated inline with the comparisons of ``metric.beta`` and looked up
-    in the rule's memo by the entries tuple; a ``Range`` is built only on a
-    miss or for rules without a memo.
+    in the rule's memo by the entries tuple; a ``Range`` is built, and
+    checked by ``FuncRule.apply``, only on a miss or for rules without a
+    memo.
     """
     r = f.radius
     deltas = [sum(o * s for o, s in zip(off, strides)) for off in range_offsets(f.dim, r)]
@@ -213,13 +211,11 @@ def _update(f: SaRule, buf: list, strides: tuple, positions) -> list:
         v = None if memo is None else memo.get(entries)
         if v is None:
             v = f.apply(Range(f.dim, r, entries))
-        if not -r <= v <= r:
-            raise ValueError(f"rule {f.name} returned {v} outside [-r, r]")
         out.append(add(c, v))
     return out
 
 
-def step(f: SaRule, x: Configuration) -> Configuration:
+def step(f: FuncRule, x: Configuration) -> Configuration:
     """One synchronous update of the whole configuration."""
     if f.dim != x.dim:
         raise ValueError("dimension mismatch")
@@ -271,7 +267,7 @@ class OrbitRecord:
     config: Configuration
 
 
-def orbit(f: SaRule, x: Configuration, n_steps: int) -> list[OrbitRecord]:
+def orbit(f: FuncRule, x: Configuration, n_steps: int) -> list[OrbitRecord]:
     if n_steps < 0:
         raise ValueError("n_steps must be >= 0")
     records = [OrbitRecord(0, x)]
@@ -282,7 +278,7 @@ def orbit(f: SaRule, x: Configuration, n_steps: int) -> list[OrbitRecord]:
     return records
 
 
-def oracle_step_window(f: SaRule, heights, n: int):
+def oracle_step_window(f: FuncRule, heights, n: int):
     """Brute-force n-step update of an explicit 1-d height array.
 
     Each step trims the radius off both ends, so only the light-cone-valid
@@ -305,7 +301,7 @@ def oracle_step_window(f: SaRule, heights, n: int):
             entries = tuple(
                 beta(r, c, cur[i + o]) for o in range(-r, r + 1) if o != 0
             )
-            nxt.append(add(c, apply_local(f, Range(1, r, entries))))
+            nxt.append(add(c, f.apply(Range(1, r, entries))))
         cur = nxt
     return tuple(cur)
 
@@ -329,7 +325,7 @@ def realize_range(rng: Range) -> tuple:
     return tuple(arr)
 
 
-def iterate_local_rule(f: SaRule, n: int) -> SaRule:
+def iterate_local_rule(f: FuncRule, n: int) -> FuncRule:
     """A single rule whose global map equals n applications of f.
 
     The radius is (3n-2)r.  Cells saturated at that precision start more

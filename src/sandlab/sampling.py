@@ -1,8 +1,8 @@
 """Deterministic random configurations.
 
-``check_conjugacy`` and the period search's refutation samples draw from
-them, as do the tests; everything is driven by an explicit
-``random.Random`` so runs are reproducible.
+The period search's refutation samples draw from them, as do the tests'
+conjugacy and characterization samples; everything is driven by an
+explicit ``random.Random`` so runs are reproducible.
 """
 
 from __future__ import annotations

@@ -225,6 +225,19 @@ def test_period_search_exit_codes(data_dir, capsys):
     assert code == 1 and out.startswith("REFUTED")
 
 
+def test_period_search_on_a_huge_radius_exits_1_at_once(tmp_path, capsys):
+    # the exhaustive branch would enumerate 10^12-digit many neighborhoods;
+    # its count is never built, and the first sampled step is over budget
+    rule = tmp_path / "wide.rule"
+    rule.write_text("sarule v1\ndim 1\nradius 100000000000\ndefault => 0\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "period-search", "--rule", str(rule), "--max-sum", "2")
+    assert time.perf_counter() - start < 0.5
+    assert (code, out) == (1, "")
+    assert err.startswith("error: step: ") and "exceed budget" in err
+    assert "Traceback" not in err
+
+
 def test_render_golden(tmp_path, data_dir, capsys):
     traj = tmp_path / "traj.jsonl"
     run(

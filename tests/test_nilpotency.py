@@ -17,9 +17,9 @@ from sandlab.nilpotency import (
     xi_encode,
     xi_encode_line,
 )
-from sandlab.sa import identity_rule, raise_rule, step
+from sandlab.sa import dense_rule, identity_rule, raise_rule, step
 
-from samplers import random_bounded_line
+from samplers import random_bounded_line, sample_table_rules
 
 
 def test_collapse_reaches_minimum():
@@ -143,6 +143,45 @@ def test_period_search_identity_and_raise():
     assert (rep.outcome, rep.preperiod, rep.period, rep.drift) == ("PERIODIC", 0, 1, 0)
     rep = find_ultimate_period(raise_rule(), 3)
     assert (rep.outcome, rep.preperiod, rep.period, rep.drift) == ("PERIODIC", 0, 1, 1)
+
+
+# full reports at max_sum 2 and 3: (outcome, preperiod, period, drift, a,
+# b, bound) and the witness's core and origin
+_REFUTED_AT_0_1 = ("REFUTED", None, None, None, 0, 1, None)
+_PINNED_PERIOD_REPORTS = {
+    "COLLAPSE(1,1)": (_REFUTED_AT_0_1, ((-2, 0, -2), -1)),
+    "COLLAPSE(2,1)": (_REFUTED_AT_0_1, ((-3, -3, 0, -3, -3), -2)),
+    "IDENTITY": (("PERIODIC", 0, 1, 0, None, None, None), None),
+    "RAISE": (("PERIODIC", 0, 1, 1, None, None, None), None),
+    "LOWER-BUT-TWO": (("PERIODIC", 1, 1, -1, None, None, None), None),
+    "RAISE-BUT-ONE": (("PERIODIC", 1, 1, 1, None, None, None), None),
+}
+# every sampled table rule is refuted at (0, 1) on the same neighborhoods
+_RANDOM_REPORT = (_REFUTED_AT_0_1, ((-2, 0, -2) + (0,) * 10 + (-2, 0, -1), -1))
+
+
+def _all_but(v: int, *indices: int):
+    """A radius-1 table of v, with 0 at the given range indices."""
+    table = [v] * 25
+    for i in indices:
+        table[i] = 0
+    return table
+
+
+def test_period_search_reports_are_pinned():
+    rules = [make_collapse(1, 1), make_collapse(2, 1), identity_rule(), raise_rule()]
+    # periodic only from step 1, so found by the exhaustive (1, 1) check
+    rules += [
+        dense_rule(1, 1, _all_but(-1, 1, 6), "LOWER-BUT-TWO"),
+        dense_rule(1, 1, _all_but(1, 22), "RAISE-BUT-ONE"),
+    ]
+    for f in rules + sample_table_rules(8, seed=11):
+        fields, witness = _PINNED_PERIOD_REPORTS.get(f.name, _RANDOM_REPORT)
+        want = None if witness is None else line_config(*witness, 0, 0)
+        for max_sum in (2, 3):
+            rep = find_ultimate_period(f, max_sum)
+            got = (rep.outcome, rep.preperiod, rep.period, rep.drift, rep.a, rep.b, rep.bound)
+            assert (got, rep.witness) == (fields, want), (f.name, max_sum)
 
 
 def test_period_search_refutes_collapse():

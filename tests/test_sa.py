@@ -186,11 +186,25 @@ def test_characterization_invariants_hold():
 
 
 def test_rule_output_out_of_range_is_caught():
-    from sandlab.sa import FuncRule, apply_local
+    from sandlab.bridge import build_ca_from_sa
+    from sandlab.sa import FuncRule
 
-    bad = FuncRule(1, 1, lambda rng: 5, "BAD")
-    with pytest.raises(ValueError):
-        apply_local(bad, flat_range(1, 1))
+    r = 1
+    # a hole-free window of the bridge rule whose central top is r + 1
+    key = ((1 << (r + 1)) - 1,) * (4 * r + 1)
+    paths = [
+        lambda f: f.apply(flat_range(1, r)),
+        lambda f: oracle_step_window(f, [0] * (2 * r + 1), 1),
+        lambda f: step(f, line_config((), 0, 0, 0)),  # the finite backgrounds move first
+        lambda f: build_ca_from_sa(f).apply_masks(key),
+    ]
+    for memoize in (False, True):
+        for path in paths:
+            bad = FuncRule(1, r, lambda rng: 5, "BAD", memoize)
+            for _ in range(2):
+                with pytest.raises(ValueError, match="outside"):
+                    path(bad)
+            assert not bad._memo
 
 
 # --- the stepping kernel against a naive per-pile reference -----------------
@@ -200,13 +214,12 @@ def naive_step(f, x):
     """Every pile recomputed on its own through ``range_at``."""
     from sandlab.heights import add
     from sandlab.lattice import Kind, grid_config
-    from sandlab.sa import apply_local
 
     r = f.radius
 
     def new(i):
         v = height_at(x, i)
-        return v if not is_finite(v) else add(v, apply_local(f, range_at(x, i, r)))
+        return v if not is_finite(v) else add(v, f.apply(range_at(x, i, r)))
 
     if x.kind is Kind.PERIODIC:
         return periodic_config([new(i) for i in range(x.period)])
@@ -311,7 +324,7 @@ def test_bound_is_checked_on_memo_hits(dim):
         bad = FuncRule(dim, 1, lambda rng: 5, "BAD", memoize=True)
         with pytest.raises(ValueError):
             step(bad, x)
-        assert 5 in bad._memo.values()
+        assert 5 not in bad._memo.values()
         with pytest.raises(ValueError):
             step(bad, x)
 
